@@ -4,14 +4,16 @@ Subcommands: ``bracket`` (one extended bracket, printed in parts),
 ``verify`` (randomized identity suite), ``oscillator`` (flow generator and
 rate equations for the quadratic Hamiltonian, plus a grid evolution),
 ``grid-check`` (symbolic vs. matrix bracket residuals), and ``classical``
-(structural Poisson brackets).  Exit codes: 0 success, 2 parse error,
-3 dimension error, 4 tolerance/verification failure, 5 internal error.
+(structural Poisson brackets).  Exit codes: 0 success, 2 parse error or
+invalid input (argparse usage errors included), 3 dimension error,
+4 tolerance/verification failure, 5 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -46,6 +48,26 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1: {text!r}")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite: {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="geobracket",
@@ -62,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     bracket.add_argument("--json", action="store_true")
 
     verify = sub.add_parser("verify", help="run the randomized identity suite")
-    verify.add_argument("--trials", type=int, default=100)
+    verify.add_argument("--trials", type=_positive_int, default=100)
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--dim", type=int, default=2, help="largest dimension drawn")
     verify.add_argument("--json", action="store_true")
@@ -75,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     oscillator.add_argument("--m", type=_fraction, default=Fraction(1))
     oscillator.add_argument("--omega", type=_fraction, default=Fraction(1))
     oscillator.add_argument("--grid", type=int, default=64)
-    oscillator.add_argument("--t", type=float, default=1.0)
+    oscillator.add_argument("--t", type=_finite_float, default=1.0)
     oscillator.add_argument("--steps", type=int, default=200)
     oscillator.add_argument(
         "--law", choices=grid_mod.LAWS, default="generalized_heisenberg"
@@ -200,15 +222,19 @@ def cmd_oscillator(args) -> int:
     w_grid = grid_mod.discretize(flow.w_op, spec)
     spectrum = grid_mod.eigenvalues(w_grid)[:8]
     p_geo = grid_mod.discretize(geomentum(s, 0, params), spec)
+    covariant_x = covariant_rhs(s, h, x_op)
+    plain_x = gen_heisenberg_rhs(s, h, x_op)
+    covariant_p = covariant_rhs(s, h, p_op)
+    plain_p = gen_heisenberg_rhs(s, h, p_op)
 
     report_lines = [
         f"hamiltonian:               {h.op}",
         f"w (flow generator):        {flow.w_op}",
         f"geomenergy (i*hbar*w):     {flow.geomenergy}",
-        f"covariant rate of x1:      {covariant_rhs(s, h, x_op)}",
-        f"plain rate of x1:          {gen_heisenberg_rhs(s, h, x_op)}",
-        f"covariant rate of p1:      {covariant_rhs(s, h, p_op)}",
-        f"plain rate of p1:          {gen_heisenberg_rhs(s, h, p_op)}",
+        f"covariant rate of x1:      {covariant_x}",
+        f"plain rate of x1:          {plain_x}",
+        f"covariant rate of p1:      {covariant_p}",
+        f"plain rate of p1:          {plain_p}",
         f"geomentum Hermitian on grid: {grid_mod.is_hermitian(p_geo)}",
         "w spectrum (first 8, by real part): "
         + ", ".join(f"{z.real:.6g}{z.imag:+.6g}i" for z in spectrum),
@@ -221,10 +247,10 @@ def cmd_oscillator(args) -> int:
         "hamiltonian": str(h.op),
         "w": str(flow.w_op),
         "geomenergy": str(flow.geomenergy),
-        "covariant_rate_x": str(covariant_rhs(s, h, x_op)),
-        "plain_rate_x": str(gen_heisenberg_rhs(s, h, x_op)),
-        "covariant_rate_p": str(covariant_rhs(s, h, p_op)),
-        "plain_rate_p": str(gen_heisenberg_rhs(s, h, p_op)),
+        "covariant_rate_x": str(covariant_x),
+        "plain_rate_x": str(plain_x),
+        "covariant_rate_p": str(covariant_p),
+        "plain_rate_p": str(plain_p),
         "geomentum_hermitian": grid_mod.is_hermitian(p_geo),
         "w_spectrum": [[z.real, z.imag] for z in spectrum],
         "law": args.law,
@@ -281,8 +307,13 @@ def cmd_grid_check(args) -> int:
 def _load_structure_matrix(spec_text: str, pairs: int) -> StructureMatrix:
     if spec_text == "canonical":
         return StructureMatrix.canonical(pairs)
-    with open(spec_text, encoding="utf-8") as stream:
-        rows = json.load(stream)
+    try:
+        with open(spec_text, encoding="utf-8") as stream:
+            rows = json.load(stream)
+    except OSError as exc:
+        raise ValueError(
+            f"cannot read structure matrix file {spec_text!r}: {exc.strerror}"
+        ) from exc
     return StructureMatrix(tuple(tuple(Fraction(str(v)) for v in row) for row in rows))
 
 

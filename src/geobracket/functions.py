@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatch
-from .scalars import ComplexRational, as_fraction
+from .scalars import ComplexRational
 
 TermKey = tuple[tuple[int, ...], tuple[ComplexRational, ...]]
 
@@ -294,12 +294,3 @@ def cos_of(dim: int, axis: int = 0) -> CoefFn:
     plus = exponential(dim, _unit_freqs(dim, axis, i))
     minus = exponential(dim, _unit_freqs(dim, axis, -i))
     return (plus + minus).scaled(half)
-
-
-def from_fraction_poly(dim: int, coeffs: dict) -> CoefFn:
-    """Polynomial from a map of exponent tuples to rational coefficients."""
-    acc = {}
-    for exponents, value in coeffs.items():
-        key = (tuple(exponents), (_CR_ZERO,) * dim)
-        acc[key] = ComplexRational(as_fraction(value))
-    return CoefFn(dim, acc)

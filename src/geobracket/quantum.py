@@ -18,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .brackets import geomutator, qcpb
-from .errors import DimensionMismatch, NonRealStructureFunction
+from .brackets import _check, geomutator, qcpb
 from .functions import CoefFn, coord, monomial, one, zero
 from .operators import (
     DiffOp,
@@ -99,7 +98,7 @@ class GDynamics:
 
 
 def gdynamics(s: CoefFn, h: Hamiltonian) -> GDynamics:
-    _check_structure(s, h.op)
+    _check(s, h.op)
     bracket = commutator(mult(s), h.op)
     w_op = bracket.scaled(h.params.inv_i_hbar)
     return GDynamics(w_op=w_op, structure_fn=s, geomenergy=bracket)
@@ -107,23 +106,20 @@ def gdynamics(s: CoefFn, h: Hamiltonian) -> GDynamics:
 
 def gen_heisenberg_rhs(s: CoefFn, h: Hamiltonian, f: DiffOp) -> DiffOp:
     """Plain rate of change: ``(1/i hbar)([f, H] - H [s, f])``."""
-    _check_structure(s, h.op, f)
+    _check(s, h.op, f)
     raw = commutator(f, h.op) - compose(h.op, commutator(mult(s), f))
     return raw.scaled(h.params.inv_i_hbar)
 
 
 def covariant_rhs(s: CoefFn, h: Hamiltonian, f: DiffOp) -> DiffOp:
     """Covariant rate of change: ``(1/i hbar)`` times the extended bracket."""
-    _check_structure(s, h.op, f)
+    _check(s, h.op, f)
     return qcpb(s, f, h.op).total.scaled(h.params.inv_i_hbar)
 
 
 def geomentum(s: CoefFn, axis: int = 0, params: Params = Params()) -> DiffOp:
     """Structure-corrected momentum ``-i hbar (d_axis + (d_axis s))``."""
-    if not s.is_real:
-        raise NonRealStructureFunction(
-            "structure function must equal its complex conjugate"
-        )
+    _check(s)
     if not 0 <= axis < s.dim:
         raise IndexError(f"axis {axis} out of range for dim {s.dim}")
     scale = ComplexRational(0, -params.hbar)
@@ -183,15 +179,3 @@ def geomutator_ccr_part(s: CoefFn, i: int, j: int, params: Params = Params()) ->
     """``(1/i hbar) G(s, x_i, p_j)``, which equals ``theta_ij - delta_ij``."""
     raw = geomutator(s, position(s.dim, i), geomentum(s, j, params))
     return raw.scaled(params.inv_i_hbar)
-
-
-def _check_structure(s: CoefFn, *ops: DiffOp):
-    if not s.is_real:
-        raise NonRealStructureFunction(
-            "structure function must equal its complex conjugate"
-        )
-    for op in ops:
-        if op.dim != s.dim:
-            raise DimensionMismatch(
-                f"operator over {op.dim} coordinates with structure function over {s.dim}"
-            )

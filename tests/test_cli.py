@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from geobracket.cli import main
 
 
@@ -246,6 +248,36 @@ def test_dimension_error_exits_3(capsys):
 def test_non_real_structure_exits_2(capsys):
     code, _, err = run_cli(capsys, "bracket", "--s", "i*x1", "--a", "d1", "--b", "x1")
     assert code == 2
+
+
+def _usage_error(capsys, *argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(list(argv))
+    return excinfo.value.code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_rejects_non_positive_trials(capsys, trials):
+    code, err = _usage_error(capsys, "verify", f"--trials={trials}")
+    assert code == 2
+    assert "must be >= 1" in err
+
+
+@pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+def test_oscillator_rejects_non_finite_time(capsys, t):
+    code, err = _usage_error(capsys, "oscillator", "--s", "0", f"--t={t}")
+    assert code == 2
+    assert "must be finite" in err
+
+
+def test_classical_missing_structure_matrix_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    code, out, err = run_cli(
+        capsys, "classical", "--s", "0", "--f", "x1", "--g", "x2", "--J", str(missing)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invalid input: cannot read structure matrix file")
 
 
 def test_determinism_of_verify_across_processes():

@@ -6,15 +6,17 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from geobracket.brackets import qcpb
+from geobracket.brackets import geomutator, qcpb
 from geobracket.errors import (
     DimensionMismatch,
     EvolutionDiverged,
     NonPeriodicCoefficient,
 )
 from geobracket.functions import cos_of, coord, exponential, monomial, one, zero
+from geobracket import grid as grid_module
 from geobracket.grid import (
     GridSpec,
+    _band_limited_norm,
     compare,
     derivative_matrix,
     discretize,
@@ -24,7 +26,7 @@ from geobracket.grid import (
     matrix_bracket,
     sample,
 )
-from geobracket.operators import mult, partial_d, position
+from geobracket.operators import commutator, mult, partial_d, position
 from geobracket.quantum import geomentum
 from geobracket.randomized import (
     random_periodic_diff_op,
@@ -283,3 +285,118 @@ def test_eigenvalue_report_is_sorted():
     values = eigenvalues(discretize(partial_d(1), spec))
     reals = values.real
     assert all(reals[i] <= reals[i + 1] + 1e-12 for i in range(len(reals) - 1))
+
+
+# -- structure-aware realization against the dense reference formulation ------
+
+
+def _dense_discretize(op, spec):
+    """``sum diag(c_alpha) D^alpha`` with dense diagonals and fresh powers."""
+    d1 = derivative_matrix(spec)
+    out = np.zeros((spec.n_points, spec.n_points), dtype=complex)
+    for (order,), coeff in op.terms.items():
+        out += np.diag(sample(coeff, spec)) @ np.linalg.matrix_power(d1, order)
+    return out
+
+
+def _dense_bracket(s, a, b, spec, kind):
+    s_mat = np.diag(sample(s, spec))
+    a_mat = _dense_discretize(a, spec)
+    b_mat = _dense_discretize(b, spec)
+
+    def comm(x, y):
+        return x @ y - y @ x
+
+    qpb = comm(a_mat, b_mat)
+    geo = a_mat @ comm(s_mat, b_mat) - b_mat @ comm(s_mat, a_mat)
+    return {"qpb": qpb, "geomutator": geo, "qcpb": qpb + geo}[kind]
+
+
+def _old_band_projector(n, band):
+    wavenumbers = np.fft.fftfreq(n, d=1.0 / n)
+    mask = (np.abs(wavenumbers) <= band).astype(float)
+    modes = np.fft.fft(np.eye(n), axis=0)
+    return np.real(np.fft.ifft(mask[:, None] * modes, axis=0))
+
+
+def test_discretize_matches_dense_reference_bitwise_under_central2():
+    spec = GridSpec(64, "central2")
+    x1 = coord(1, 0)
+    op = (
+        mult(monomial(1, (2,))) * partial_d(1, 0, 2)
+        + mult(x1.scaled(I)) * partial_d(1, 0, 3)
+        + partial_d(1)
+        + mult(cos_of(1) + x1)
+    )
+    assert np.array_equal(discretize(op, spec).matrix, _dense_discretize(op, spec))
+
+
+@pytest.mark.parametrize("index", range(5))
+def test_discretize_matches_dense_reference_under_spectral(index):
+    spec = GridSpec(128)
+    op = random_periodic_diff_op(trial_rng(5, "dense-reference", index))
+    ref = _dense_discretize(op, spec)
+    out = discretize(op, spec).matrix
+    assert np.max(np.abs(out - ref)) <= 8 * np.finfo(float).eps * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("kind", ["qpb", "geomutator", "qcpb"])
+@pytest.mark.parametrize("index", range(3))
+def test_matrix_bracket_matches_dense_reference(kind, index):
+    spec = GridSpec(64)
+    rng = trial_rng(7, "dense-bracket", index)
+    while True:
+        s = random_periodic_fn(rng, real=True)
+        a = random_periodic_diff_op(rng)
+        b = random_periodic_diff_op(rng)
+        if not (commutator(a, b).is_zero or geomutator(s, a, b).is_zero):
+            break
+    ref = _dense_bracket(s, a, b, spec, kind)
+    out = matrix_bracket(s, a, b, spec, kind).matrix
+    assert np.linalg.norm(ref) > 1.0
+    assert np.linalg.norm(out - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_band_limited_norm_matches_projector(n):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    expected = np.linalg.norm(x @ _old_band_projector(n, n // 4), 2)
+    assert np.isclose(_band_limited_norm(x, n // 4), expected, rtol=1e-13, atol=0)
+
+
+def test_one_spec_builds_the_derivative_matrix_once(monkeypatch):
+    calls = []
+
+    def counting(spec):
+        calls.append(spec)
+        return derivative_matrix(spec)
+
+    monkeypatch.setattr(grid_module, "derivative_matrix", counting)
+    spec = GridSpec(64)
+    s = cos_of(1)
+    a = mult(E_IX).scaled(-I) * partial_d(1)
+    b = mult(E_IX) * partial_d(1, 0, 2) + mult(E_IX)
+    discretize(a, spec)
+    numeric = matrix_bracket(s, a, b, spec, "qcpb")
+    compare(qcpb(s, a, b).total, numeric, E_IX, 1e-8)
+    assert len(calls) == 1
+
+
+def test_cached_derivative_powers_are_read_only():
+    spec = GridSpec(32)
+    for order in (0, 1, 2):
+        power = spec.derivative_power(order)
+        assert power is spec.derivative_power(order)
+        with pytest.raises(ValueError):
+            power[0, 0] = 1.0
+
+
+def test_grid_spec_equality_and_hash_ignore_the_cache():
+    warm = GridSpec(64, "central2")
+    warm.derivative_power(2)
+    cold = GridSpec(64, "central2")
+    assert warm == cold
+    assert hash(warm) == hash(cold)
+    assert {warm: "spec"}[cold] == "spec"
+    assert GridSpec(64) != cold
