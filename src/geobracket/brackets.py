@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .errors import DimensionMismatch, NonRealStructureFunction
 from .functions import CoefFn
 from .operators import DiffOp, commutator, compose, mult
-from .scalars import ComplexRational
+from .scalars import I
 
 
 def _check(s: CoefFn, *ops: DiffOp):
@@ -146,11 +146,10 @@ class HermitianSplitReport:
     plus_minus: BracketReport
 
     def _recombine(self, pick) -> DiffOp:
-        i = ComplexRational(0, 1)
         return (
             pick(self.plus_plus)
             - pick(self.minus_minus)
-            + (pick(self.minus_plus) + pick(self.plus_minus)).scaled(i)
+            + (pick(self.minus_plus) + pick(self.plus_minus)).scaled(I)
         )
 
     @property
@@ -183,9 +182,8 @@ def hermitian_split_qcpb(
 ) -> HermitianSplitReport:
     """Bracket two operators given by real/imaginary parts, with the expansion."""
     _check(s, f_plus, f_minus, g_plus, g_minus)
-    i = ComplexRational(0, 1)
-    f = f_plus + f_minus.scaled(i)
-    g = g_plus + g_minus.scaled(i)
+    f = f_plus + f_minus.scaled(I)
+    g = g_plus + g_minus.scaled(I)
     return HermitianSplitReport(
         combined=qcpb(s, f, g),
         plus_plus=qcpb(s, f_plus, g_plus),

@@ -5,8 +5,9 @@ Subcommands: ``bracket`` (one extended bracket, printed in parts),
 rate equations for the quadratic Hamiltonian, plus a grid evolution),
 ``grid-check`` (symbolic vs. matrix bracket residuals), and ``classical``
 (structural Poisson brackets).  Exit codes: 0 success, 2 parse error or
-invalid input (argparse usage errors included), 3 dimension error,
-4 tolerance/verification failure, 5 internal error.
+invalid input (argparse usage errors included, such as a ``--dim`` or
+``--trials`` below 1), 3 dimension error, 4 tolerance/verification
+failure, 5 internal error.
 """
 
 from __future__ import annotations
@@ -80,13 +81,13 @@ def build_parser() -> argparse.ArgumentParser:
     bracket.add_argument("--a", required=True, help="left operator expression")
     bracket.add_argument("--b", required=True, help="right operator expression")
     bracket.add_argument("--kind", choices=("qpb", "geo", "qcpb"), default="qcpb")
-    bracket.add_argument("--dim", type=int, default=None, help="coordinate count")
+    bracket.add_argument("--dim", type=_positive_int, default=None, help="coordinate count")
     bracket.add_argument("--json", action="store_true")
 
     verify = sub.add_parser("verify", help="run the randomized identity suite")
     verify.add_argument("--trials", type=_positive_int, default=100)
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--dim", type=int, default=2, help="largest dimension drawn")
+    verify.add_argument("--dim", type=_positive_int, default=2, help="largest dimension drawn")
     verify.add_argument("--json", action="store_true")
 
     oscillator = sub.add_parser(
@@ -370,7 +371,7 @@ def main(argv=None) -> int:
     except ExprSyntaxError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (DimensionMismatch, IndexError) as exc:
+    except DimensionMismatch as exc:
         print(f"dimension error: {exc}", file=sys.stderr)
         return 3
     except (

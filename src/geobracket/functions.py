@@ -7,74 +7,82 @@ meaning ``exp(sum_j kappa_j x_j)``.  The family is closed under addition,
 multiplication, and partial differentiation, and it contains every function
 the rest of the package needs: polynomials, plane waves ``exp(i k x)``, and
 the real combinations ``sin``/``cos`` built from them.
+
+:class:`TermMap` and :func:`accumulate` are the one place that knows the
+canonical form shared by coefficient functions and by differential
+operators (:mod:`geobracket.operators`, whose terms map a derivative
+multi-index to a :class:`CoefFn`): no zero coefficients, unique validated
+keys, and insertion order kept.  Every sum of terms goes through
+:func:`accumulate`, so a key keeps its first position unless its sum
+cancels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .errors import DimensionMismatch
-from .scalars import ComplexRational
-
-TermKey = tuple[tuple[int, ...], tuple[ComplexRational, ...]]
-
-_CR_ZERO = ComplexRational()
-_CR_ONE = ComplexRational(Fraction(1))
+from .scalars import I, ONE, ZERO, ComplexRational
 
 
-def _coerce_scalar(value) -> ComplexRational:
-    return ComplexRational.coerce(value)
+def accumulate(acc: dict, items) -> dict:
+    """Add ``(key, value)`` pairs into ``acc``, dropping keys that sum to zero."""
+    for key, value in items:
+        total = acc.get(key)
+        total = value if total is None else total + value
+        if total:
+            acc[key] = total
+        else:
+            acc.pop(key, None)
+    return acc
 
 
 @dataclass(frozen=True)
-class CoefFn:
-    """Canonical-form coefficient function.
+class TermMap:
+    """Canonical sparse map from validated keys to nonzero coefficients.
 
-    Invariants: no stored zero coefficients, unique term keys, all key
-    vectors of length ``dim``.  Values are immutable by convention; every
-    operation returns a new instance.
+    Invariants: no stored zero coefficients, unique keys, each checked by
+    the subclass's ``_check_term``.  Values are immutable by convention;
+    every operation returns a new instance.
     """
 
     dim: int
     terms: dict
 
+    _noun = "term maps"
+
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
         clean = {}
-        for (nu, kappa), coeff in self.terms.items():
-            if len(nu) != self.dim or len(kappa) != self.dim:
-                raise ValueError("term key length does not match dim")
-            if any(e < 0 for e in nu):
-                raise ValueError("monomial exponents must be non-negative")
+        for key, coeff in self.terms.items():
+            key = self._check_term(key, coeff)
             if coeff:
-                clean[(tuple(nu), tuple(kappa))] = coeff
+                clean[key] = coeff
         object.__setattr__(self, "terms", clean)
 
+    def _check_term(self, key, coeff):
+        """Validate one term and return its canonical key."""
+        raise NotImplementedError
+
     @classmethod
-    def _wrap(cls, dim: int, clean_terms: dict) -> "CoefFn":
+    def _wrap(cls, dim: int, clean_terms: dict):
         """Internal constructor for term maps already in canonical form."""
         out = object.__new__(cls)
         object.__setattr__(out, "dim", dim)
         object.__setattr__(out, "terms", clean_terms)
         return out
 
-    # -- ring operations ---------------------------------------------------
+    # -- linear structure ----------------------------------------------------
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         self._check_dim(other)
-        acc = dict(self.terms)
-        for key, coeff in other.terms.items():
-            total = acc.get(key, _CR_ZERO) + coeff
-            if total:
-                acc[key] = total
-            else:
-                acc.pop(key, None)
-        return CoefFn._wrap(self.dim, acc)
+        return self._wrap(self.dim, accumulate(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 
@@ -91,7 +99,49 @@ class CoefFn:
         return other + (-self)
 
     def __neg__(self):
-        return CoefFn._wrap(self.dim, {k: -c for k, c in self.terms.items()})
+        return self._wrap(self.dim, {k: -c for k, c in self.terms.items()})
+
+    def _coerce(self, other):
+        """``other`` as an instance of this class, or None if it is not one."""
+        return other if isinstance(other, type(self)) else None
+
+    def _check_dim(self, other):
+        if self.dim != other.dim:
+            raise DimensionMismatch(
+                f"{self._noun} over {self.dim} and {other.dim} coordinates"
+            )
+
+    # -- zero test -------------------------------------------------------------
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+
+class CoefFn(TermMap):
+    """Canonical-form coefficient function; keys are ``(nu, kappa)``."""
+
+    _noun = "coefficient functions"
+
+    def _check_term(self, key, coeff):
+        nu, kappa = key
+        if len(nu) != self.dim or len(kappa) != self.dim:
+            raise ValueError("term key length does not match dim")
+        if any(e < 0 for e in nu):
+            raise ValueError("monomial exponents must be non-negative")
+        return (tuple(nu), tuple(kappa))
+
+    def _coerce(self, other):
+        if isinstance(other, CoefFn):
+            return other
+        if isinstance(other, (int, Fraction, ComplexRational)):
+            return const(self.dim, other)
+        return None
+
+    # -- ring operations ---------------------------------------------------
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, ComplexRational)):
@@ -99,18 +149,12 @@ class CoefFn:
         if not isinstance(other, CoefFn):
             return NotImplemented
         self._check_dim(other)
-        acc: dict = {}
-        for (nu1, k1), c1 in self.terms.items():
-            for (nu2, k2), c2 in other.terms.items():
-                nu = tuple(a + b for a, b in zip(nu1, nu2))
-                kappa = tuple(a + b for a, b in zip(k1, k2))
-                key = (nu, kappa)
-                total = acc.get(key, _CR_ZERO) + c1 * c2
-                if total:
-                    acc[key] = total
-                else:
-                    acc.pop(key, None)
-        return CoefFn._wrap(self.dim, acc)
+        products = (
+            ((tuple(map(add, nu1, nu2)), tuple(map(add, k1, k2))), c1 * c2)
+            for (nu1, k1), c1 in self.terms.items()
+            for (nu2, k2), c2 in other.terms.items()
+        )
+        return CoefFn._wrap(self.dim, accumulate({}, products))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, ComplexRational)):
@@ -118,7 +162,7 @@ class CoefFn:
         return NotImplemented
 
     def scaled(self, value) -> "CoefFn":
-        value = _coerce_scalar(value)
+        value = ComplexRational.coerce(value)
         if not value:
             return CoefFn._wrap(self.dim, {})
         return CoefFn._wrap(self.dim, {k: value * c for k, c in self.terms.items()})
@@ -131,25 +175,18 @@ class CoefFn:
         """
         if not 0 <= axis < self.dim:
             raise IndexError(f"axis {axis} out of range for dim {self.dim}")
-        acc: dict = {}
+        return CoefFn._wrap(self.dim, accumulate({}, self._diff_terms(axis)))
 
-        def put(key, coeff):
-            total = acc.get(key, _CR_ZERO) + coeff
-            if total:
-                acc[key] = total
-            else:
-                acc.pop(key, None)
-
+    def _diff_terms(self, axis: int):
         for (nu, kappa), coeff in self.terms.items():
             if nu[axis] > 0:
                 lowered = tuple(
                     e - 1 if j == axis else e for j, e in enumerate(nu)
                 )
-                put((lowered, kappa), coeff * nu[axis])
+                yield (lowered, kappa), coeff * nu[axis]
             freq = kappa[axis]
             if freq:
-                put((nu, kappa), coeff * freq)
-        return CoefFn._wrap(self.dim, acc)
+                yield (nu, kappa), coeff * freq
 
     def diff_multi(self, orders) -> "CoefFn":
         """Iterated derivative, ``orders[j]`` times along each axis."""
@@ -160,21 +197,13 @@ class CoefFn:
         return out
 
     def conjugate(self) -> "CoefFn":
-        acc: dict = {}
-        for (nu, kappa), coeff in self.terms.items():
-            key = (nu, tuple(k.conjugate() for k in kappa))
-            total = acc.get(key, _CR_ZERO) + coeff.conjugate()
-            if total:
-                acc[key] = total
-            else:
-                acc.pop(key, None)
-        return CoefFn._wrap(self.dim, acc)
+        conjugates = (
+            ((nu, tuple(k.conjugate() for k in kappa)), coeff.conjugate())
+            for (nu, kappa), coeff in self.terms.items()
+        )
+        return CoefFn._wrap(self.dim, accumulate({}, conjugates))
 
     # -- predicates and views ---------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     @property
     def is_real(self) -> bool:
@@ -196,7 +225,7 @@ class CoefFn:
         if not self.is_constant:
             raise ValueError("function is not constant")
         if not self.terms:
-            return _CR_ZERO
+            return ZERO
         return next(iter(self.terms.values()))
 
     @property
@@ -211,19 +240,6 @@ class CoefFn:
             return (nu, tuple(k.sort_key() for k in kappa))
 
         return sorted(self.terms.items(), key=key)
-
-    def _check_dim(self, other: "CoefFn"):
-        if self.dim != other.dim:
-            raise DimensionMismatch(
-                f"coefficient functions over {self.dim} and {other.dim} coordinates"
-            )
-
-    def _coerce(self, other):
-        if isinstance(other, CoefFn):
-            return other
-        if isinstance(other, (int, Fraction, ComplexRational)):
-            return const(self.dim, other)
-        return None
 
     def __str__(self) -> str:
         from .printing import format_coef_fn
@@ -246,8 +262,8 @@ def one(dim: int) -> CoefFn:
 
 
 def const(dim: int, value) -> CoefFn:
-    value = _coerce_scalar(value)
-    key = ((0,) * dim, (_CR_ZERO,) * dim)
+    value = ComplexRational.coerce(value)
+    key = ((0,) * dim, (ZERO,) * dim)
     return CoefFn(dim, {key: value} if value else {})
 
 
@@ -256,41 +272,39 @@ def coord(dim: int, axis: int) -> CoefFn:
     if not 0 <= axis < dim:
         raise IndexError(f"axis {axis} out of range for dim {dim}")
     nu = tuple(1 if j == axis else 0 for j in range(dim))
-    return CoefFn(dim, {(nu, (_CR_ZERO,) * dim): _CR_ONE})
+    return CoefFn(dim, {(nu, (ZERO,) * dim): ONE})
 
 
 def monomial(dim: int, exponents, coeff=1) -> CoefFn:
     exponents = tuple(exponents)
     if len(exponents) != dim:
         raise ValueError("exponent vector length does not match dim")
-    return CoefFn(dim, {(exponents, (_CR_ZERO,) * dim): _coerce_scalar(coeff)})
+    return CoefFn(dim, {(exponents, (ZERO,) * dim): ComplexRational.coerce(coeff)})
 
 
 def exponential(dim: int, freqs) -> CoefFn:
     """``exp(sum_j freqs[j] * x_j)`` with complex-rational frequencies."""
-    freqs = tuple(_coerce_scalar(f) for f in freqs)
+    freqs = tuple(ComplexRational.coerce(f) for f in freqs)
     if len(freqs) != dim:
         raise ValueError("frequency vector length does not match dim")
-    return CoefFn(dim, {((0,) * dim, freqs): _CR_ONE})
+    return CoefFn(dim, {((0,) * dim, freqs): ONE})
 
 
 def _unit_freqs(dim: int, axis: int, value: ComplexRational):
-    return tuple(value if j == axis else _CR_ZERO for j in range(dim))
+    return tuple(value if j == axis else ZERO for j in range(dim))
 
 
 def sin_of(dim: int, axis: int = 0) -> CoefFn:
     """Exact ``sin(x_axis) = (e^{i x} - e^{-i x}) / 2i``."""
-    i = ComplexRational(0, 1)
     half_mi = ComplexRational(0, Fraction(-1, 2))  # 1/(2i)
-    plus = exponential(dim, _unit_freqs(dim, axis, i))
-    minus = exponential(dim, _unit_freqs(dim, axis, -i))
+    plus = exponential(dim, _unit_freqs(dim, axis, I))
+    minus = exponential(dim, _unit_freqs(dim, axis, -I))
     return (plus - minus).scaled(half_mi)
 
 
 def cos_of(dim: int, axis: int = 0) -> CoefFn:
     """Exact ``cos(x_axis) = (e^{i x} + e^{-i x}) / 2``."""
-    i = ComplexRational(0, 1)
     half = Fraction(1, 2)
-    plus = exponential(dim, _unit_freqs(dim, axis, i))
-    minus = exponential(dim, _unit_freqs(dim, axis, -i))
+    plus = exponential(dim, _unit_freqs(dim, axis, I))
+    minus = exponential(dim, _unit_freqs(dim, axis, -I))
     return (plus + minus).scaled(half)

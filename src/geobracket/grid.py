@@ -92,16 +92,27 @@ def derivative_matrix(spec: GridSpec) -> np.ndarray:
     resolved modes, and with the Nyquist mode assigned ``+n/2`` so that its
     powers carry the full symbol ``(i k)^order`` (zeroing the Nyquist would
     misplace that mode's frequency in every even-order derivative).
+
+    Both schemes are circulant, ``D[i, j] = c[(i - j) % n]``, so each is
+    built from its first column ``c``: ``ifft(i k)`` for ``spectral`` and
+    ``+-1/(2h)`` at the two neighbours for ``central2``.  The ``central2``
+    stencil as built is ``(f[i-1] - f[i+1]) / (2h)``, the negative of the
+    central difference; this known sign defect is tracked in ROADMAP and
+    not corrected here, since every ``central2`` flow and comparison
+    depends on it.
     """
     n = spec.n_points
     if spec.scheme == "spectral":
         wavenumbers = np.fft.fftfreq(n, d=1.0 / n)
         wavenumbers[n // 2] = n / 2
-        modes = np.fft.fft(np.eye(n), axis=0)
-        return np.fft.ifft(1j * wavenumbers[:, None] * modes, axis=0)
-    forward = np.roll(np.eye(n), -1, axis=1)
-    backward = np.roll(np.eye(n), 1, axis=1)
-    return (forward - backward) / (2.0 * spec.spacing)
+        column = np.fft.ifft(1j * wavenumbers)
+    else:
+        column = np.zeros(n)
+        column[1] += 1.0
+        column[-1] -= 1.0
+        column /= 2.0 * spec.spacing
+    index = np.arange(n)
+    return column[(index[:, None] - index[None, :]) % n]
 
 
 def sample(f: CoefFn, spec: GridSpec) -> np.ndarray:

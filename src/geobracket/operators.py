@@ -9,20 +9,22 @@ the generalized Leibniz rule
 so products land back in normal form with a unique canonical representation.
 Operator order grows additively under composition, which bounds (and
 explains) term blow-up in nested brackets.
+
+A ``DiffOp`` is a :class:`~geobracket.functions.TermMap` from multi-indices
+``alpha`` to coefficient functions; construction, addition, the zero test
+and the accumulate-and-prune loop of :func:`compose` are those of
+:mod:`geobracket.functions`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatch
-from .functions import CoefFn, const, coord, one, zero
+from .functions import CoefFn, TermMap, accumulate, const, coord, one, zero
 from .scalars import ComplexRational
-
-_CR_MINUS_I = ComplexRational(0, -1)
 
 
 def _multi_binom(alpha, beta) -> int:
@@ -34,62 +36,24 @@ def _sub_indices(alpha):
     return itertools.product(*(range(a + 1) for a in alpha))
 
 
-@dataclass(frozen=True)
-class DiffOp:
-    """Canonical-form differential operator over ``dim`` coordinates."""
+class DiffOp(TermMap):
+    """Canonical-form differential operator; keys are derivative multi-indices."""
 
-    dim: int
-    terms: dict
+    _noun = "operators"
 
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        clean = {}
-        for alpha, coeff in self.terms.items():
-            alpha = tuple(alpha)
-            if len(alpha) != self.dim:
-                raise ValueError("derivative multi-index length does not match dim")
-            if any(a < 0 for a in alpha):
-                raise ValueError("derivative orders must be non-negative")
-            if coeff.dim != self.dim:
-                raise DimensionMismatch(
-                    "coefficient dimension does not match operator dimension"
-                )
-            if not coeff.is_zero:
-                clean[alpha] = coeff
-        object.__setattr__(self, "terms", clean)
-
-    @classmethod
-    def _wrap(cls, dim: int, clean_terms: dict) -> "DiffOp":
-        """Internal constructor for term maps already in canonical form."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "dim", dim)
-        object.__setattr__(out, "terms", clean_terms)
-        return out
+    def _check_term(self, alpha, coeff):
+        alpha = tuple(alpha)
+        if len(alpha) != self.dim:
+            raise ValueError("derivative multi-index length does not match dim")
+        if any(a < 0 for a in alpha):
+            raise ValueError("derivative orders must be non-negative")
+        if coeff.dim != self.dim:
+            raise DimensionMismatch(
+                "coefficient dimension does not match operator dimension"
+            )
+        return alpha
 
     # -- linear structure ---------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, DiffOp):
-            return NotImplemented
-        self._check_dim(other)
-        acc = dict(self.terms)
-        for alpha, coeff in other.terms.items():
-            total = acc.get(alpha)
-            total = coeff if total is None else total + coeff
-            if total.is_zero:
-                acc.pop(alpha, None)
-            else:
-                acc[alpha] = total
-        return DiffOp._wrap(self.dim, acc)
-
-    def __sub__(self, other):
-        if not isinstance(other, DiffOp):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return DiffOp._wrap(self.dim, {a: -c for a, c in self.terms.items()})
 
     def scaled(self, value) -> "DiffOp":
         value = ComplexRational.coerce(value)
@@ -125,10 +89,6 @@ class DiffOp:
     # -- views ---------------------------------------------------------------
 
     @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
     def order(self) -> int:
         return max((sum(alpha) for alpha in self.terms), default=0)
 
@@ -137,12 +97,6 @@ class DiffOp:
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda item: item[0])
-
-    def _check_dim(self, other: "DiffOp"):
-        if self.dim != other.dim:
-            raise DimensionMismatch(
-                f"operators over {self.dim} and {other.dim} coordinates"
-            )
 
     def __str__(self) -> str:
         from .printing import format_diff_op
@@ -201,39 +155,38 @@ def momentum(dim: int, axis: int = 0, hbar=1) -> DiffOp:
 def compose(a: DiffOp, b: DiffOp) -> DiffOp:
     """Operator product ``a b`` in normal form."""
     a._check_dim(b)
-    dim = a.dim
     acc: dict = {}
     for beta, cb in b.terms.items():
-        derivs = {(0,) * dim: cb}
+        accumulate(acc, _leibniz_terms(a, beta, cb))
+    return DiffOp._wrap(a.dim, acc)
 
-        def deriv_of(gamma, _derivs=derivs):
-            cached = _derivs.get(gamma)
-            if cached is None:
-                axis = next(i for i, g in enumerate(gamma) if g)
-                parent = tuple(
-                    g - 1 if i == axis else g for i, g in enumerate(gamma)
-                )
-                cached = deriv_of(parent).diff(axis)
-                _derivs[gamma] = cached
-            return cached
 
-        for alpha, ca in a.terms.items():
-            for gamma in _sub_indices(alpha):
-                deriv = deriv_of(gamma)
-                if deriv.is_zero:
-                    continue
-                weight = _multi_binom(alpha, gamma)
-                key = tuple(al - g + be for al, g, be in zip(alpha, gamma, beta))
-                piece = ca * deriv
-                if weight != 1:
-                    piece = piece.scaled(weight)
-                total = acc.get(key)
-                total = piece if total is None else total + piece
-                if total.is_zero:
-                    acc.pop(key, None)
-                else:
-                    acc[key] = total
-    return DiffOp._wrap(dim, acc)
+def _leibniz_terms(a: DiffOp, beta, cb: CoefFn):
+    """Terms of ``a (cb d^beta)`` by the Leibniz rule: for each ``alpha`` of
+    ``a`` and ``gamma <= alpha``, ``binom(alpha, gamma) c_alpha (d^gamma cb)``
+    at ``d^(alpha - gamma + beta)``."""
+    derivs = {(0,) * a.dim: cb}
+
+    def deriv_of(gamma):
+        cached = derivs.get(gamma)
+        if cached is None:
+            axis = next(i for i, g in enumerate(gamma) if g)
+            parent = tuple(g - 1 if i == axis else g for i, g in enumerate(gamma))
+            cached = deriv_of(parent).diff(axis)
+            derivs[gamma] = cached
+        return cached
+
+    for alpha, ca in a.terms.items():
+        for gamma in _sub_indices(alpha):
+            deriv = deriv_of(gamma)
+            if deriv.is_zero:
+                continue
+            weight = _multi_binom(alpha, gamma)
+            key = tuple(al - g + be for al, g, be in zip(alpha, gamma, beta))
+            piece = ca * deriv
+            if weight != 1:
+                piece = piece.scaled(weight)
+            yield key, piece
 
 
 def commutator(a: DiffOp, b: DiffOp) -> DiffOp:

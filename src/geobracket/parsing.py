@@ -23,7 +23,7 @@ from fractions import Fraction
 from .errors import DimensionMismatch, ExprSyntaxError
 from .functions import CoefFn, coord, exponential
 from .operators import DiffOp, compose, identity, mult, partial_d, scalar_op
-from .scalars import ComplexRational
+from .scalars import I, ComplexRational
 
 # -- AST ----------------------------------------------------------------------
 
@@ -217,7 +217,7 @@ class _Parser:
         token = self.advance()
         name, digits = _IDENT_RE.match(token.text).groups()
         if name == "i" and not digits:
-            return Scalar(ComplexRational(0, 1))
+            return Scalar(I)
         if name == "s" and not digits:
             return Preset("s")
         if name == "exp" and not digits:
@@ -268,22 +268,6 @@ def max_axis(node: Node) -> int:
     if isinstance(node, Product):
         return max((max_axis(n) for n in node.factors), default=-1)
     return -1
-
-
-def uses_preset(node: Node) -> bool:
-    if isinstance(node, Preset):
-        return True
-    if isinstance(node, Exp):
-        return uses_preset(node.argument)
-    if isinstance(node, Negate):
-        return uses_preset(node.node)
-    if isinstance(node, Power):
-        return uses_preset(node.base)
-    if isinstance(node, Sum):
-        return any(uses_preset(n) for n in node.addends)
-    if isinstance(node, Product):
-        return any(uses_preset(n) for n in node.factors)
-    return False
 
 
 def lower(node: Node, dim: int, structure_fn: CoefFn | None = None) -> DiffOp:

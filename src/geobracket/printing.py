@@ -9,8 +9,8 @@ render identically.
 
 from __future__ import annotations
 
-from .functions import CoefFn
-from .scalars import ComplexRational, format_scalar, scalar_needs_parens
+from .functions import CoefFn, one
+from .scalars import ONE, ComplexRational, format_scalar, scalar_needs_parens
 
 
 def _join_signed(addends) -> str:
@@ -39,9 +39,9 @@ def _linear_form(kappa) -> str:
         if not freq:
             continue
         name = f"x{axis + 1}"
-        if freq == ComplexRational(1):
+        if freq == ONE:
             addends.append(name)
-        elif freq == ComplexRational(-1):
+        elif freq == -ONE:
             addends.append(f"-{name}")
         else:
             addends.append(f"{_scalar_factor(freq)}*{name}")
@@ -65,9 +65,9 @@ def _coef_term(coeff: ComplexRational, body_factors: list) -> str:
     if not body_factors:
         return format_scalar(coeff)
     body = "*".join(body_factors)
-    if coeff == ComplexRational(1):
+    if coeff == ONE:
         return body
-    if coeff == ComplexRational(-1):
+    if coeff == -ONE:
         return f"-{body}"
     return f"{_scalar_factor(coeff)}*{body}"
 
@@ -118,18 +118,12 @@ def format_diff_op(op) -> str:
             else:
                 addends.append(f"({format_coef_fn(coeff)})")
             continue
-        if coeff == _one_fn(op.dim):
+        if coeff == one(op.dim):
             addends.append(dpart)
-        elif coeff == -_one_fn(op.dim):
+        elif coeff == -one(op.dim):
             addends.append(f"-{dpart}")
         elif _is_single_product(coeff):
             addends.append(f"{format_coef_fn(coeff)}*{dpart}")
         else:
             addends.append(f"({format_coef_fn(coeff)})*{dpart}")
     return _join_signed(addends)
-
-
-def _one_fn(dim: int) -> CoefFn:
-    from .functions import one
-
-    return one(dim)

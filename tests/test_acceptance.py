@@ -477,13 +477,18 @@ def test_criterion_9_classical_position_momentum_bracket():
 def test_criterion_10_verify_determinism():
     """Two identical runs of the verify command emit identical bytes."""
     command = [sys.executable, "-m", "geobracket", "verify", "--seed", "7"]
-    first = subprocess.run(command, capture_output=True)
-    second = subprocess.run(command, capture_output=True)
+    # Both runs start before either is read, so they run concurrently.
+    first, second = [
+        subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        for _ in range(2)
+    ]
+    first_out, _ = first.communicate()
+    second_out, _ = second.communicate()
     ok = (
         first.returncode == 0
         and second.returncode == 0
-        and first.stdout == second.stdout
-        and first.stdout
+        and first_out == second_out
+        and first_out
     )
     report("10", "verify determinism", bool(ok),
-           f"exit {first.returncode}, {len(first.stdout)} bytes")
+           f"exit {first.returncode}, {len(first_out)} bytes")

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from geobracket import cli
 from geobracket.cli import main
 
 
@@ -268,6 +269,32 @@ def test_oscillator_rejects_non_finite_time(capsys, t):
     code, err = _usage_error(capsys, "oscillator", "--s", "0", f"--t={t}")
     assert code == 2
     assert "must be finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bracket", "--s", "0", "--a", "x1", "--b", "d1", "--dim", "0"],
+        ["verify", "--dim", "0", "--trials", "1"],
+    ],
+    ids=["bracket", "verify"],
+)
+def test_dim_zero_is_a_usage_error(capsys, argv):
+    code, err = _usage_error(capsys, *argv)
+    assert code == 2
+    assert "--dim" in err
+    assert "must be >= 1" in err
+
+
+def test_index_error_is_an_internal_error(capsys, monkeypatch):
+    def broken(args):
+        raise IndexError("axis 3 out of range for dim 1")
+
+    monkeypatch.setitem(cli._COMMANDS, "bracket", broken)
+    code, out, err = run_cli(capsys, "bracket", "--s", "0", "--a", "x1", "--b", "d1")
+    assert code == 5
+    assert out == ""
+    assert err.startswith("internal error:")
 
 
 def test_classical_missing_structure_matrix_file_exits_2(tmp_path, capsys):

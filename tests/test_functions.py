@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 
 from geobracket.functions import (
+    CoefFn,
+    accumulate,
     const,
     coord,
     cos_of,
@@ -15,6 +17,7 @@ from geobracket.functions import (
     zero,
 )
 from geobracket.errors import DimensionMismatch
+from geobracket.operators import DiffOp, partial_d
 from geobracket.randomized import random_coef_fn, trial_rng
 from geobracket.scalars import ComplexRational
 
@@ -144,3 +147,60 @@ def test_conjugate_matches_frequency_flip():
     g = f.conjugate()
     assert g == exponential(1, (-I,)).scaled(ComplexRational(1, -2))
     assert (f + g).is_real
+
+
+# -- the shared term-map kernel -----------------------------------------------------
+
+_CONST_KEY = ((0,), (ComplexRational(),))
+_X_KEY = ((1,), (ComplexRational(),))
+
+
+def _coef_fn_case():
+    return (
+        {_CONST_KEY: ComplexRational(), _X_KEY: ComplexRational(3)},
+        {_X_KEY: ComplexRational(3)},
+        _x() + 2,
+    )
+
+
+def _diff_op_case():
+    return (
+        {(0,): zero(1), (1,): _x()},
+        {(1,): _x()},
+        partial_d(1).scaled(2) + DiffOp(1, {(0,): _x()}),
+    )
+
+
+@pytest.mark.parametrize("cls, case", [(CoefFn, _coef_fn_case), (DiffOp, _diff_op_case)])
+def test_term_map_kernel(cls, case):
+    raw, clean, x = case()
+    assert cls(1, raw).terms == clean
+    difference = x - x
+    assert type(difference) is cls
+    assert difference.terms == {}
+    assert bool(difference) is False
+    assert difference.is_zero
+    assert bool(x) is True
+    assert -(-x) == x
+    if cls is CoefFn:
+        assert x + 1 == x + const(1, 1)
+        assert 1 - x == const(1, 1) - x
+    else:
+        with pytest.raises(TypeError):
+            x + 1
+        with pytest.raises(TypeError):
+            x + _x()
+        with pytest.raises(TypeError):
+            _x() - x
+    assert CoefFn(1, {}) != DiffOp(1, {})
+    assert _x() != DiffOp(1, {(0,): _x()})
+
+
+def test_accumulate_drops_cancelled_keys():
+    acc = accumulate({"a": 1, "b": 2}, [("a", -1), ("c", 0), ("b", 1)])
+    assert acc == {"b": 3}
+
+
+def test_accumulate_keeps_insertion_order():
+    acc = accumulate({"b": 1}, [("a", 1), ("c", 2), ("b", 1), ("a", -1), ("a", 5)])
+    assert list(acc.items()) == [("b", 2), ("c", 2), ("a", 5)]

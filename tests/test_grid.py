@@ -319,6 +319,36 @@ def _old_band_projector(n, band):
     return np.real(np.fft.ifft(mask[:, None] * modes, axis=0))
 
 
+def _old_derivative_matrix(spec):
+    n = spec.n_points
+    if spec.scheme == "spectral":
+        wavenumbers = np.fft.fftfreq(n, d=1.0 / n)
+        wavenumbers[n // 2] = n / 2
+        modes = np.fft.fft(np.eye(n), axis=0)
+        return np.fft.ifft(1j * wavenumbers[:, None] * modes, axis=0)
+    forward = np.roll(np.eye(n), -1, axis=1)
+    backward = np.roll(np.eye(n), 1, axis=1)
+    return (forward - backward) / (2.0 * spec.spacing)
+
+
+@pytest.mark.parametrize("n", [16, 256, 1024])
+def test_central2_derivative_matrix_matches_roll_construction_bitwise(n):
+    spec = GridSpec(n, "central2")
+    out = derivative_matrix(spec)
+    ref = _old_derivative_matrix(spec)
+    assert out.dtype == ref.dtype
+    assert out.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("n", [16, 256, 1024])
+def test_spectral_derivative_matrix_matches_eye_fft_construction(n):
+    spec = GridSpec(n)
+    out = derivative_matrix(spec)
+    ref = _old_derivative_matrix(spec)
+    assert out.dtype == ref.dtype
+    assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_discretize_matches_dense_reference_bitwise_under_central2():
     spec = GridSpec(64, "central2")
     x1 = coord(1, 0)
