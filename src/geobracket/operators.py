@@ -81,10 +81,10 @@ class DiffOp(TermMap):
             raise DimensionMismatch(
                 f"operator over {self.dim} coordinates applied to function over {psi.dim}"
             )
-        out = zero(self.dim)
+        acc: dict = {}
         for alpha, coeff in self.terms.items():
-            out = out + coeff * psi.diff_multi(alpha)
-        return out
+            accumulate(acc, (coeff * psi.diff_multi(alpha)).terms.items())
+        return CoefFn._wrap(self.dim, acc)
 
     # -- views ---------------------------------------------------------------
 

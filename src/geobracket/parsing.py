@@ -309,12 +309,22 @@ def lower(node: Node, dim: int, structure_fn: CoefFn | None = None) -> DiffOp:
             out = compose(out, lower(child, dim, structure_fn))
         return out
     if isinstance(node, Power):
-        base = lower(node.base, dim, structure_fn)
-        out = identity(dim)
-        for _ in range(node.exponent):
-            out = compose(out, base)
-        return out
+        return _power(lower(node.base, dim, structure_fn), node.exponent)
     raise TypeError(f"unknown AST node {node!r}")
+
+
+def _power(base: DiffOp, exponent: int) -> DiffOp:
+    """``base^exponent`` by repeated squaring: about ``2 log2(exponent)``
+    compositions instead of ``exponent``."""
+    out = None
+    while True:
+        if exponent & 1:
+            out = base if out is None else compose(out, base)
+        exponent >>= 1
+        if not exponent:
+            break
+        base = compose(base, base)
+    return identity(base.dim) if out is None else out
 
 
 def _exp_function(argument: Node, dim: int, structure_fn) -> CoefFn:

@@ -3,12 +3,20 @@
 Every symbolic coefficient in the package is a :class:`ComplexRational`, so
 identities can be checked by structural equality instead of floating-point
 closeness.
+
+A value is stored as three ints ``(a, b, d)`` meaning ``(a + b i) / d``: a
+Gaussian-integer numerator over one positive denominator, kept in lowest
+terms (``gcd(a, b, d) == 1``), the layout of FLINT's ``fmpq_poly`` applied
+to a single scalar.  Arithmetic works on the ints and normalizes once per
+operation, so equality and hashing compare the triple.  The real and
+imaginary parts are available as :class:`~fractions.Fraction` views for
+printing, parsing and ordering.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from numbers import Rational
 
 
@@ -23,31 +31,44 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"expected a rational value, got {type(value).__name__}")
 
 
-@dataclass(frozen=True)
 class ComplexRational:
     """A complex number with exact rational real and imaginary parts.
 
-    ``Fraction`` keeps both parts reduced with a positive denominator, so
-    equality is structural.
+    Immutable; the triple ``(a, b, d)`` is canonical, so equality is
+    structural.
     """
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    __slots__ = ("_a", "_b", "_d")
 
-    def __post_init__(self):
-        if type(self.re) is not Fraction:
-            object.__setattr__(self, "re", as_fraction(self.re))
-        if type(self.im) is not Fraction:
-            object.__setattr__(self, "im", as_fraction(self.im))
+    def __init__(self, re=0, im=0):
+        if type(re) is int and type(im) is int:
+            self._a, self._b, self._d = re, im, 1
+            return
+        re = as_fraction(re)
+        im = as_fraction(im)
+        d_re, d_im = re.denominator, im.denominator
+        # Both parts are reduced, so scaling to the lcm of their
+        # denominators leaves gcd(a, b, d) == 1.
+        d = d_re * d_im // gcd(d_re, d_im)
+        self._a = re.numerator * (d // d_re)
+        self._b = im.numerator * (d // d_im)
+        self._d = d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
+    def __eq__(self, other):
+        if other.__class__ is not ComplexRational:
+            return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):
-        # Fraction hashing is costly (modular inverse) and these values key
-        # every term map, so cache it.
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = hash((self.re, self.im))
-            object.__setattr__(self, "_hash", cached)
-        return cached
+        return hash((self._a, self._b, self._d))
 
     @staticmethod
     def coerce(value) -> "ComplexRational":
@@ -61,7 +82,15 @@ class ComplexRational:
         other = _coerce_or_none(other)
         if other is None:
             return NotImplemented
-        return ComplexRational(self.re + other.re, self.im + other.im)
+        a1, b1, d1 = self._a, self._b, self._d
+        a2, b2, d2 = other._a, other._b, other._d
+        if not (a2 or b2):
+            return self
+        if not (a1 or b1):
+            return other
+        if d1 == d2:
+            return _normalized(a1 + a2, b1 + b2, d1)
+        return _normalized(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
 
     __radd__ = __add__
 
@@ -69,7 +98,11 @@ class ComplexRational:
         other = _coerce_or_none(other)
         if other is None:
             return NotImplemented
-        return ComplexRational(self.re - other.re, self.im - other.im)
+        a1, b1, d1 = self._a, self._b, self._d
+        a2, b2, d2 = other._a, other._b, other._d
+        if d1 == d2:
+            return _normalized(a1 - a2, b1 - b2, d1)
+        return _normalized(a1 * d2 - a2 * d1, b1 * d2 - b2 * d1, d1 * d2)
 
     def __rsub__(self, other):
         other = _coerce_or_none(other)
@@ -81,9 +114,9 @@ class ComplexRational:
         other = _coerce_or_none(other)
         if other is None:
             return NotImplemented
-        return ComplexRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        return _normalized(
+            a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self._d * other._d
         )
 
     __rmul__ = __mul__
@@ -92,32 +125,34 @@ class ComplexRational:
         other = _coerce_or_none(other)
         if other is None:
             return NotImplemented
-        denom = other.re * other.re + other.im * other.im
-        if denom == 0:
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        norm = a2 * a2 + b2 * b2
+        if norm == 0:
             raise ZeroDivisionError("division by zero ComplexRational")
-        return ComplexRational(
-            (self.re * other.re + self.im * other.im) / denom,
-            (self.im * other.re - self.re * other.im) / denom,
+        # (a1 + b1 i)/d1 * d2 (a2 - b2 i) / (a2^2 + b2^2)
+        d2 = other._d
+        return _normalized(
+            (a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2, self._d * norm
         )
 
     def __neg__(self):
-        return ComplexRational(-self.re, -self.im)
+        return _make(-self._a, -self._b, self._d)
 
     def conjugate(self) -> "ComplexRational":
-        return ComplexRational(self.re, -self.im)
+        return _make(self._a, -self._b, self._d)
 
     # -- predicates and views ---------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self._a or self._b)
 
     @property
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self._b
 
     def __bool__(self) -> bool:
-        return not self.is_zero
+        return bool(self._a or self._b)
 
     def sort_key(self):
         return (self.re, self.im)
@@ -132,15 +167,36 @@ class ComplexRational:
         return f"ComplexRational({self.re!r}, {self.im!r})"
 
 
+_new = object.__new__
+
+
+def _make(a: int, b: int, d: int) -> ComplexRational:
+    """Internal constructor for a triple already in lowest terms."""
+    out = _new(ComplexRational)
+    out._a, out._b, out._d = a, b, d
+    return out
+
+
+def _normalized(a: int, b: int, d: int) -> ComplexRational:
+    """Internal constructor for ``(a + b i) / d`` with ``d > 0``."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    return _make(a, b, d)
+
+
 ZERO = ComplexRational()
-ONE = ComplexRational(Fraction(1))
-I = ComplexRational(Fraction(0), Fraction(1))
-MINUS_I = ComplexRational(Fraction(0), Fraction(-1))
+ONE = ComplexRational(1)
+I = ComplexRational(0, 1)
+MINUS_I = ComplexRational(0, -1)
 
 
 def _coerce_or_none(value):
-    if isinstance(value, ComplexRational):
+    if value.__class__ is ComplexRational:
         return value
+    if value.__class__ is int:
+        return _make(value, 0, 1)
     if isinstance(value, (int, Fraction, Rational)):
         return ComplexRational(as_fraction(value))
     return None
@@ -156,14 +212,15 @@ def _imag_str(im: Fraction) -> str:
 
 def format_scalar(z: ComplexRational) -> str:
     """Render in the DSL grammar, e.g. ``3/2``, ``-i``, ``1/2 + 3*i``."""
-    if z.im == 0:
+    if z.is_real:
         return str(z.re)
-    if z.re == 0:
-        return _imag_str(z.im)
-    sign = "+" if z.im > 0 else "-"
-    return f"{z.re} {sign} {_imag_str(abs(z.im))}"
+    im = z.im
+    if not z._a:
+        return _imag_str(im)
+    sign = "+" if im > 0 else "-"
+    return f"{z.re} {sign} {_imag_str(abs(im))}"
 
 
 def scalar_needs_parens(z: ComplexRational) -> bool:
     """True when the rendering is a sum, so factor positions need parens."""
-    return z.re != 0 and z.im != 0
+    return bool(z._a and z._b)

@@ -323,3 +323,15 @@ def test_determinism_of_verify_across_processes():
     assert first.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout.decode().count("pass") >= 10
+
+
+def test_huge_exponent_finishes():
+    # ``^k`` lowers by repeated squaring, so k = 99999999 costs a few dozen
+    # compositions; expanding it term by term would not finish.
+    command = [
+        sys.executable, "-m", "geobracket", "bracket",
+        "--s", "x1^99999999", "--a", "d1", "--b", "x1",
+    ]
+    result = subprocess.run(command, capture_output=True, timeout=60)
+    assert result.returncode == 0
+    assert "total:           1 + 99999999*x1^99999999" in result.stdout.decode()

@@ -177,3 +177,15 @@ def test_rendering_is_deterministic():
     op = random_diff_op(rng, 2)
     rebuilt = parse_operator(str(op), dim=2)
     assert str(rebuilt) == str(op)
+
+
+@pytest.mark.parametrize(
+    "base_text, dim",
+    [("x1", 1), ("d1", 1), ("x1 + d1", 1), ("exp(i*x1)*d2", 2)],
+)
+def test_power_equals_repeated_composition(base_text, dim):
+    base = parse_operator(base_text, dim)
+    expected = identity(dim)
+    for k in range(13):
+        assert parse_operator(f"({base_text})^{k}", dim) == expected, k
+        expected = compose(expected, base)
