@@ -7,7 +7,9 @@ rate equations for the quadratic Hamiltonian, plus a grid evolution),
 (structural Poisson brackets).  Exit codes: 0 success, 2 parse error or
 invalid input (argparse usage errors included, such as a ``--dim`` or
 ``--trials`` below 1), 3 dimension error, 4 tolerance/verification
-failure, 5 internal error.
+failure, 5 internal error.  Grid sizes (``grid-check --n``, ``oscillator
+--grid``) are powers of two from 16 to ``grid.MAX_POINTS`` (2048); any
+other size exits 2 before a matrix is allocated.
 """
 
 from __future__ import annotations

@@ -12,14 +12,23 @@ coefficients; ``central2`` is a second-order stencil that accepts arbitrary
 coefficients (monomials included) at the cost of accuracy, with comparisons
 expected to exclude a boundary band near the domain seam.
 
+Size budget: a grid has at most ``MAX_POINTS`` (2048) points, since every
+operator is a dense n x n complex matrix (64 MiB at the cap); larger sizes
+are rejected with ``ValueError`` before anything is allocated.
+
 Realization notes: a coefficient or structure function enters only as a
 multiplication operator, i.e. a diagonal matrix, so it is kept as a vector
 of samples and applied by scaling rows (``c[:, None] * M``) or columns
 (``M * c[None, :]``) instead of by dense products.  Each ``GridSpec`` builds
 its derivative matrix once and each power of it at most once
 (``GridSpec.derivative_power``), as read-only arrays that live as long as
-the spec.  The band-limited norm in ``compare`` is taken from FFT columns
-rather than from a dense projector.
+the spec; a spectral power is the circulant of its symbol ``(i k)^order``,
+so no dense product forms it.  ``qcpb`` takes two dense products, as
+``a (b + [s, b]) - b (a + [s, a])``.  Every 2-norm in ``compare`` is the
+square root of the largest eigenvalue of a Gram matrix (``_norm2``), and
+the band-limited one is taken from FFT columns rather than from a dense
+projector; no SVD is computed.  A flow reuses the rate it evaluates for a
+sample's decomposition residual as the next RK4 step's first stage.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DimensionMismatch,
@@ -40,10 +50,17 @@ from .operators import DiffOp
 
 SCHEMES = ("spectral", "central2")
 
+# Grid-size budget: every operator is a dense n x n complex matrix, and a
+# bracket check holds several of them at once.
+MAX_POINTS = 2048
+
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform periodic grid on [0, 2*pi) with a differentiation scheme."""
+    """Uniform periodic grid on [0, 2*pi) with a differentiation scheme.
+
+    ``n_points`` is a power of two from 16 to ``MAX_POINTS``.
+    """
 
     n_points: int = 256
     scheme: str = "spectral"
@@ -51,6 +68,10 @@ class GridSpec:
     def __post_init__(self):
         if self.n_points < 16:
             raise ValueError("n_points must be >= 16")
+        if self.n_points > MAX_POINTS:
+            raise ValueError(
+                f"n_points must be <= {MAX_POINTS} (dense n x n matrices)"
+            )
         if self.n_points & (self.n_points - 1):
             raise ValueError("n_points must be a power of two")
         if self.scheme not in SCHEMES:
@@ -75,13 +96,42 @@ class GridSpec:
         return {1: d1}
 
     def derivative_power(self, order: int) -> np.ndarray:
-        """Read-only ``D^order``, computed at most once for this spec."""
+        """Read-only ``D^order``, computed at most once for this spec.
+
+        Under ``spectral`` this is the circulant whose first column is
+        ``ifft((i k)^order)``, with the wavenumbers and Nyquist convention of
+        ``derivative_matrix``: O(n log n + n^2) work, and it equals
+        ``matrix_power(D, order)`` to rounding.  Under ``central2`` it is
+        ``matrix_power(D, order)`` itself, bitwise.
+        """
         powers = self._derivative_powers
         if order not in powers:
-            power = np.linalg.matrix_power(powers[1], order)
+            if self.scheme == "spectral":
+                symbol = (1j * _wavenumbers(self.n_points)) ** order
+                power = _circulant(np.fft.ifft(symbol))
+            else:
+                power = np.linalg.matrix_power(powers[1], order)
             power.setflags(write=False)
             powers[order] = power
         return powers[order]
+
+
+def _wavenumbers(n: int) -> np.ndarray:
+    """Integer FFT wavenumbers in FFT order, with the Nyquist mode at ``+n/2``."""
+    wavenumbers = np.fft.fftfreq(n, d=1.0 / n)
+    wavenumbers[n // 2] = n / 2
+    return wavenumbers
+
+
+def _circulant(column: np.ndarray) -> np.ndarray:
+    """The circulant ``C[i, j] = column[(i - j) % n]``.
+
+    Row ``i`` is a contiguous window of the reversed column repeated twice,
+    so the matrix is one copy of a strided view.
+    """
+    n = len(column)
+    reversed_twice = np.concatenate((column[::-1], column[::-1]))
+    return np.ascontiguousarray(sliding_window_view(reversed_twice, n)[n - 1 :: -1])
 
 
 def derivative_matrix(spec: GridSpec) -> np.ndarray:
@@ -103,16 +153,13 @@ def derivative_matrix(spec: GridSpec) -> np.ndarray:
     """
     n = spec.n_points
     if spec.scheme == "spectral":
-        wavenumbers = np.fft.fftfreq(n, d=1.0 / n)
-        wavenumbers[n // 2] = n / 2
-        column = np.fft.ifft(1j * wavenumbers)
+        column = np.fft.ifft(1j * _wavenumbers(n))
     else:
         column = np.zeros(n)
         column[1] += 1.0
         column[-1] -= 1.0
         column /= 2.0 * spec.spacing
-    index = np.arange(n)
-    return column[(index[:, None] - index[None, :]) % n]
+    return _circulant(column)
 
 
 def sample(f: CoefFn, spec: GridSpec) -> np.ndarray:
@@ -197,6 +244,13 @@ def _comm_diag(s: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _plus_comm_diag(s: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``b + [diag(s), b]``."""
+    out = _comm_diag(s, b)
+    out += b
+    return out
+
+
 def matrix_bracket(
     s: CoefFn,
     a: DiffOp,
@@ -207,7 +261,8 @@ def matrix_bracket(
     """Recompute a bracket with matrix products only.
 
     ``s`` stays a vector of samples: each ``[s, .]`` is a row and column
-    scaling, so the dense products are only those with ``a`` and ``b``.
+    scaling, so the dense products are only those with ``a`` and ``b``:
+    two for each kind, with ``qcpb`` as ``a (b + [s, b]) - b (a + [s, a])``.
     """
     s_vec = sample(s, spec)
     a_mat = discretize(a, spec).matrix
@@ -217,9 +272,8 @@ def matrix_bracket(
     elif kind == "geomutator":
         out = a_mat @ _comm_diag(s_vec, b_mat) - b_mat @ _comm_diag(s_vec, a_mat)
     elif kind == "qcpb":
-        out = _comm(a_mat, b_mat)
-        out += a_mat @ _comm_diag(s_vec, b_mat)
-        out -= b_mat @ _comm_diag(s_vec, a_mat)
+        out = a_mat @ _plus_comm_diag(s_vec, b_mat)
+        out -= b_mat @ _plus_comm_diag(s_vec, a_mat)
     else:
         raise ValueError(f"unknown bracket kind {kind!r}")
     return GridOp(out, spec)
@@ -241,6 +295,19 @@ class ComparisonReport:
         )
 
 
+def _norm2(x: np.ndarray) -> float:
+    """Spectral norm ``sqrt(lambda_max(X^H X))`` from the smaller Gram matrix.
+
+    The largest eigenvalue of the Hermitian Gram matrix is the squared
+    largest singular value, so no SVD is needed; it is clamped at 0, so an
+    exactly zero matrix gives exactly 0.0.
+    """
+    if x.shape[0] < x.shape[1]:
+        x = x.T
+    gram = x.conj().T @ x
+    return math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
+
+
 def _band_limited_norm(x: np.ndarray, band: int) -> float:
     """``||x P||_2`` for the projector ``P`` onto Fourier modes |k| <= band.
 
@@ -249,9 +316,8 @@ def _band_limited_norm(x: np.ndarray, band: int) -> float:
     ``sqrt(n) * ifft(x, axis=1)``, and only the masked ones are kept.
     """
     n = x.shape[1]
-    wavenumbers = np.fft.fftfreq(n, d=1.0 / n)
-    columns = np.fft.ifft(x, axis=1)[:, np.abs(wavenumbers) <= band]
-    return math.sqrt(n) * float(np.linalg.norm(columns, 2))
+    columns = np.fft.ifft(x, axis=1)[:, np.abs(_wavenumbers(n)) <= band]
+    return math.sqrt(n) * _norm2(columns)
 
 
 def compare(
@@ -272,6 +338,8 @@ def compare(
 
     The band-limited norm is the 2-norm of the n x (n/2 + 1) matrix of the
     resolved FFT columns (``_band_limited_norm``); no projector is formed.
+    Every 2-norm here, band-limited or full, comes from ``_norm2``, the
+    largest Gram eigenvalue, rather than from an SVD.
     """
     spec = numeric.spec
     if spec.scheme == "spectral" and not is_grid_periodic(psi):
@@ -291,8 +359,8 @@ def compare(
         op_scale = max(_band_limited_norm(sym_mat, resolved), 1.0)
         spectral = _band_limited_norm(defect, resolved) / op_scale
     else:
-        op_scale = max(float(np.linalg.norm(sym_mat, 2)), 1.0)
-        spectral = float(np.linalg.norm(defect, 2)) / op_scale
+        op_scale = max(_norm2(sym_mat), 1.0)
+        spectral = _norm2(defect) / op_scale
 
     # Scale the action defect by the larger of the action itself and the
     # operator scale applied to psi, so tiny-norm totals do not inflate it.
@@ -358,6 +426,9 @@ def evolve(
     ``law`` selects the plain (``generalized_heisenberg``) or ``covariant``
     rate; expectation values ``<psi|F|psi> / <psi|psi>`` are recorded
     against the supplied state (a uniform state when ``psi`` is omitted).
+    Each sample evaluates both rates, from their shared products, for its
+    decomposition residual, and the one ``law`` selects is the next step's
+    first RK4 stage.
     """
     if law not in LAWS:
         raise ValueError(f"law must be one of {LAWS}")
@@ -372,23 +443,27 @@ def evolve(
         psi_vec = sample(psi, spec)
     psi_norm2 = float(np.real(np.vdot(psi_vec, psi_vec)))
 
+    is_covariant = law == "covariant"
     scale = -1j / float(hbar)  # 1/(i hbar)
     comm_sh = _comm_diag(s_vec, h_mat)
     w_mat = scale * comm_sh
 
-    def plain_rate(f):
-        return scale * (_comm(f, h_mat) - h_mat @ _comm_diag(s_vec, f))
+    # Both rates are built from ``[f, H]`` and ``H [s, f]``; the covariant
+    # one adds ``f [s, H]``.
+    def shared_terms(f):
+        return _comm(f, h_mat), h_mat @ _comm_diag(s_vec, f)
 
-    def covariant_rate(f):
-        return scale * (_comm(f, h_mat) + f @ comm_sh - h_mat @ _comm_diag(s_vec, f))
+    def plain_rate(commutator, sandwich):
+        return scale * (commutator - sandwich)
 
-    rate = covariant_rate if law == "covariant" else plain_rate
+    def covariant_rate(f, commutator, sandwich):
+        out = commutator + f @ comm_sh
+        out -= sandwich
+        return scale * out
 
-    def decomposition_residual(f):
-        covariant = covariant_rate(f)
-        defect = covariant - plain_rate(f) - f @ w_mat
-        denom = max(1.0, float(np.linalg.norm(covariant)))
-        return float(np.linalg.norm(defect)) / denom
+    def rate(f):
+        terms = shared_terms(f)
+        return covariant_rate(f, *terms) if is_covariant else plain_rate(*terms)
 
     def expectation(f):
         return complex(np.vdot(psi_vec, f @ psi_vec)) / psi_norm2
@@ -400,16 +475,23 @@ def evolve(
     result = EvolutionResult(law=law, spec=spec)
 
     def record(step_index, f):
-        t = step_index * dt
-        result.times.append(t)
+        """Append a sample; return the rate of ``law`` at ``f``."""
+        terms = shared_terms(f)
+        covariant = covariant_rate(f, *terms)
+        plain = plain_rate(*terms)
+        defect = covariant - plain - f @ w_mat
+        denom = max(1.0, float(np.linalg.norm(covariant)))
+        result.times.append(step_index * dt)
         result.expectations.append(expectation(f))
-        result.residuals.append(decomposition_residual(f))
+        result.residuals.append(float(np.linalg.norm(defect)) / denom)
         result.operators.append(GridOp(f.copy(), spec))
+        return covariant if is_covariant else plain
 
-    record(0, f_mat)
+    k1 = record(0, f_mat)
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, steps + 1):
-            k1 = rate(f_mat)
+            if k1 is None:
+                k1 = rate(f_mat)
             k2 = rate(f_mat + 0.5 * dt * k1)
             k3 = rate(f_mat + 0.5 * dt * k2)
             k4 = rate(f_mat + dt * k3)
@@ -419,8 +501,7 @@ def evolve(
                     f"non-finite values at step {step} (t = {step * dt:.6g}); "
                     "reduce the step size or the operator order"
                 )
-            if step in sample_steps:
-                record(step, f_mat)
+            k1 = record(step, f_mat) if step in sample_steps else None
     return result
 
 

@@ -3,6 +3,8 @@
 import json
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import pytest
 
@@ -284,6 +286,33 @@ def test_dim_zero_is_a_usage_error(capsys, argv):
     assert code == 2
     assert "--dim" in err
     assert "must be >= 1" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["grid-check", "--s", "0", "--a", "d1", "--b", "exp(i*x1)", "--n", "1048576"],
+        ["oscillator", "--s", "0", "--grid", "1048576"],
+        ["grid-check", "--s", "0", "--a", "d1", "--b", "exp(i*x1)", "--n", "4096"],
+    ],
+    ids=["grid-check", "oscillator", "twice-the-cap"],
+)
+def test_grid_size_above_the_cap_exits_2_without_allocating(capsys, argv):
+    # A 2**20-point grid would need 16 TiB per dense matrix; the size budget
+    # refuses it before any array is allocated.
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code, out, err = run_cli(capsys, *argv)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invalid input: n_points must be <= 2048")
+    assert elapsed < 1.0
+    assert peak < 1 << 20
 
 
 def test_index_error_is_an_internal_error(capsys, monkeypatch):

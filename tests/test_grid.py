@@ -15,8 +15,10 @@ from geobracket.errors import (
 from geobracket.functions import cos_of, coord, exponential, monomial, one, zero
 from geobracket import grid as grid_module
 from geobracket.grid import (
+    MAX_POINTS,
     GridSpec,
     _band_limited_norm,
+    _norm2,
     compare,
     derivative_matrix,
     discretize,
@@ -47,6 +49,14 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         GridSpec(64, "upwind")
     assert GridSpec().n_points == 256
+
+
+def test_spec_size_cap():
+    assert MAX_POINTS == 2048
+    assert GridSpec(MAX_POINTS, "central2").n_points == MAX_POINTS
+    for n in (2 * MAX_POINTS, 1 << 20, 1 << 40):
+        with pytest.raises(ValueError, match="n_points must be <= 2048"):
+            GridSpec(n)
 
 
 def test_spectral_matrix_is_anti_hermitian_with_integer_spectrum():
@@ -430,3 +440,147 @@ def test_grid_spec_equality_and_hash_ignore_the_cache():
     assert hash(warm) == hash(cold)
     assert {warm: "spec"}[cold] == "spec"
     assert GridSpec(64) != cold
+
+
+# -- spectral derivative powers, the 2-norm helper, and the flow loop ----------
+
+
+@pytest.mark.parametrize("n", [16, 256, 1024])
+def test_spectral_derivative_power_is_the_symbol_circulant(n):
+    spec = GridSpec(n)
+    d1 = derivative_matrix(spec)
+    x = spec.points()
+    resolved = np.arange(-n // 2 + 1, n // 2)
+    modes = np.exp(1j * np.outer(x, resolved))
+    nyquist = np.exp(1j * (n // 2) * x)
+    eps = np.finfo(float).eps
+    for order in range(5):
+        power = spec.derivative_power(order)
+        top = float(n // 2) ** order
+        # Each resolved mode exp(i m x) is mapped to (i m)^order exp(i m x).
+        expected = modes * (1j * resolved) ** order
+        assert np.max(np.abs(power @ modes - expected)) <= 8 * n * eps * top
+        # The Nyquist mode carries the full symbol (i n/2)^order.
+        nyquist_error = power @ nyquist - (0.5j * n) ** order * nyquist
+        assert np.max(np.abs(nyquist_error)) <= 8 * n * eps * top
+        # It agrees with the product of first-derivative matrices to
+        # n * eps relative to the largest entry (measured: at most 0.16 of it).
+        reference = np.linalg.matrix_power(d1, order)
+        bound = n * eps * np.max(np.abs(reference))
+        assert np.max(np.abs(power - reference)) <= bound
+        assert not power.flags.writeable
+        with pytest.raises(ValueError):
+            power[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_central2_derivative_powers_are_matrix_powers_bitwise(n):
+    spec = GridSpec(n, "central2")
+    d1 = derivative_matrix(spec)
+    for order in range(5):
+        reference = np.linalg.matrix_power(d1, order)
+        assert spec.derivative_power(order).tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_norm2_matches_svd_norm(n):
+    rng = np.random.default_rng(n + 1)
+    for shape in ((n, n), (n, n // 2 + 1), (n // 2 + 1, n)):
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert np.isclose(_norm2(x), np.linalg.norm(x, 2), rtol=1e-12, atol=0)
+
+
+def test_norm2_of_zero_is_exactly_zero():
+    assert _norm2(np.zeros((64, 64), dtype=complex)) == 0.0
+    assert _norm2(np.zeros((64, 33), dtype=complex)) == 0.0
+    assert _band_limited_norm(np.zeros((64, 64), dtype=complex), 16) == 0.0
+
+
+def _reference_evolve(s, hamiltonian, f0, *, t_final, steps, spec, law, psi, n_samples):
+    """The RK4 loop as written before samples shared a rate with the next step.
+
+    Every step evaluates its own first stage, and every sample evaluates both
+    rates again for its decomposition residual.
+    """
+    h_mat = discretize(hamiltonian, spec).matrix
+    s_vec = sample(s, spec)
+    f_mat = discretize(f0, spec).matrix.astype(complex)
+    psi_vec = sample(psi, spec)
+    psi_norm2 = float(np.real(np.vdot(psi_vec, psi_vec)))
+
+    scale = -1j / 1.0
+    comm_sh = s_vec[:, None] * h_mat - h_mat * s_vec[None, :]
+    w_mat = scale * comm_sh
+
+    def comm_diag(f):
+        return s_vec[:, None] * f - f * s_vec[None, :]
+
+    def plain_rate(f):
+        return scale * ((f @ h_mat - h_mat @ f) - h_mat @ comm_diag(f))
+
+    def covariant_rate(f):
+        return scale * ((f @ h_mat - h_mat @ f) + f @ comm_sh - h_mat @ comm_diag(f))
+
+    rate = covariant_rate if law == "covariant" else plain_rate
+
+    def decomposition_residual(f):
+        covariant = covariant_rate(f)
+        defect = covariant - plain_rate(f) - f @ w_mat
+        denom = max(1.0, float(np.linalg.norm(covariant)))
+        return float(np.linalg.norm(defect)) / denom
+
+    dt = t_final / steps
+    n_samples = max(2, min(n_samples, steps + 1))
+    sample_steps = sorted({round(k * steps / (n_samples - 1)) for k in range(n_samples)})
+    times, expectations, residuals, operators = [], [], [], []
+
+    def record(step_index, f):
+        times.append(step_index * dt)
+        expectations.append(complex(np.vdot(psi_vec, f @ psi_vec)) / psi_norm2)
+        residuals.append(decomposition_residual(f))
+        operators.append(f.copy())
+
+    record(0, f_mat)
+    for step in range(1, steps + 1):
+        k1 = rate(f_mat)
+        k2 = rate(f_mat + 0.5 * dt * k1)
+        k3 = rate(f_mat + 0.5 * dt * k2)
+        k4 = rate(f_mat + dt * k3)
+        f_mat = f_mat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if step in sample_steps:
+            record(step, f_mat)
+    return times, expectations, residuals, operators
+
+
+def _flow_scenario(scheme):
+    if scheme == "spectral":
+        s = cos_of(1).scaled(Fraction(1, 5))
+        return s, _kinetic_plus_cosine(), mult(cos_of(1)) * partial_d(1)
+    x1 = coord(1, 0)
+    s = cos_of(1).scaled(Fraction(1, 5)) + x1.scaled(Fraction(1, 10))
+    h_op = partial_d(1, 0, 2).scaled(Fraction(-1, 2)) + mult(
+        monomial(1, (2,)).scaled(Fraction(1, 2))
+    )
+    return s, h_op, position(1)
+
+
+@pytest.mark.parametrize("law", ["generalized_heisenberg", "covariant"])
+@pytest.mark.parametrize("scheme", ["spectral", "central2"])
+@pytest.mark.parametrize("steps, n_samples", [(30, 7), (37, 5)])
+def test_evolve_is_bitwise_equal_to_reference_loop(law, scheme, steps, n_samples):
+    spec = GridSpec(32, scheme)
+    s, h_op, f0 = _flow_scenario(scheme)
+    kwargs = dict(
+        t_final=0.3, steps=steps, spec=spec, law=law, psi=E_IX, n_samples=n_samples
+    )
+    result = evolve(s, h_op, f0, **kwargs)
+    times, expectations, residuals, operators = _reference_evolve(s, h_op, f0, **kwargs)
+    assert len(times) == n_samples < steps + 1  # samples skip steps
+    assert result.times == times
+    assert result.expectations == expectations
+    assert result.residuals == residuals
+    assert max(residuals) > 0.0  # nonzero s: the residual is not trivially 0
+    assert len(result.operators) == len(operators)
+    for op, reference in zip(result.operators, operators):
+        assert op.matrix.dtype == reference.dtype
+        assert op.matrix.tobytes() == reference.tobytes()
