@@ -5,8 +5,9 @@ Subcommands: ``bracket`` (one extended bracket, printed in parts),
 rate equations for the quadratic Hamiltonian, plus a grid evolution),
 ``grid-check`` (symbolic vs. matrix bracket residuals), and ``classical``
 (structural Poisson brackets).  Exit codes: 0 success, 2 parse error or
-invalid input (argparse usage errors included, such as a ``--dim`` or
-``--trials`` below 1), 3 dimension error, 4 tolerance/verification
+invalid input (argparse usage errors included, such as a ``--dim``,
+``--trials`` or ``--pairs`` below 1, or a ``grid-check --tol`` that is
+negative or not finite), 3 dimension error, 4 tolerance/verification
 failure, 5 internal error.  Grid sizes (``grid-check --n``, ``oscillator
 --grid``) are powers of two from 16 to ``grid.MAX_POINTS`` (2048); any
 other size exits 2 before a matrix is allocated.
@@ -71,6 +72,13 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _tolerance(text: str) -> float:
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0: {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="geobracket",
@@ -118,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     grid_check.add_argument("--n", type=int, default=256)
     grid_check.add_argument("--scheme", choices=grid_mod.SCHEMES, default="spectral")
     grid_check.add_argument("--kind", choices=("qpb", "geomutator", "qcpb"), default="qcpb")
-    grid_check.add_argument("--tol", type=float, default=1e-8)
+    grid_check.add_argument("--tol", type=_tolerance, default=1e-8)
     grid_check.add_argument("--psi", default="exp(i*x1)")
     grid_check.add_argument("--json", action="store_true")
 
@@ -131,7 +139,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="canonical",
         help="'canonical' or a JSON file with an antisymmetric rational matrix",
     )
-    classical.add_argument("--pairs", type=int, default=None, help="position/momentum pairs")
+    classical.add_argument(
+        "--pairs", type=_positive_int, default=None, help="position/momentum pairs"
+    )
     classical.add_argument("--json", action="store_true")
 
     return parser
@@ -321,16 +331,11 @@ def _load_structure_matrix(spec_text: str, pairs: int) -> StructureMatrix:
 
 
 def cmd_classical(args) -> int:
-    probe = [parse_function(args.s), parse_function(args.f), parse_function(args.g)]
-    inferred = max(f.dim for f in probe)
-    if args.pairs is not None:
-        pairs = args.pairs
-    else:
-        pairs = (inferred + 1) // 2
+    nodes = [parse(args.s), parse(args.f), parse(args.g)]
+    dim = max(1, *(max_axis(node) + 1 for node in nodes))
+    pairs = args.pairs or (dim + 1) // 2
     size = 2 * pairs
-    s = parse_function(args.s, dim=size)
-    f = parse_function(args.f, dim=size)
-    g = parse_function(args.g, dim=size)
+    s, f, g = (as_function(lower(node, size)) for node in nodes)
     j = _load_structure_matrix(args.J, pairs)
     bracket = gspb(s, f, g, j)
     plain = gpb(f, g, j)

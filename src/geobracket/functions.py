@@ -188,14 +188,6 @@ class CoefFn(TermMap):
             if freq:
                 yield (nu, kappa), coeff * freq
 
-    def diff_multi(self, orders) -> "CoefFn":
-        """Iterated derivative, ``orders[j]`` times along each axis."""
-        out = self
-        for axis, count in enumerate(orders):
-            for _ in range(count):
-                out = out.diff(axis)
-        return out
-
     def conjugate(self) -> "CoefFn":
         conjugates = (
             ((nu, tuple(k.conjugate() for k in kappa)), coeff.conjugate())

@@ -82,8 +82,9 @@ class DiffOp(TermMap):
                 f"operator over {self.dim} coordinates applied to function over {psi.dim}"
             )
         acc: dict = {}
+        deriv_of = _derivatives(psi)
         for alpha, coeff in self.terms.items():
-            accumulate(acc, (coeff * psi.diff_multi(alpha)).terms.items())
+            accumulate(acc, (coeff * deriv_of(alpha)).terms.items())
         return CoefFn._wrap(self.dim, acc)
 
     # -- views ---------------------------------------------------------------
@@ -161,11 +162,9 @@ def compose(a: DiffOp, b: DiffOp) -> DiffOp:
     return DiffOp._wrap(a.dim, acc)
 
 
-def _leibniz_terms(a: DiffOp, beta, cb: CoefFn):
-    """Terms of ``a (cb d^beta)`` by the Leibniz rule: for each ``alpha`` of
-    ``a`` and ``gamma <= alpha``, ``binom(alpha, gamma) c_alpha (d^gamma cb)``
-    at ``d^(alpha - gamma + beta)``."""
-    derivs = {(0,) * a.dim: cb}
+def _derivatives(fn: CoefFn):
+    """Memoised ``gamma -> d^gamma fn``; each is one ``diff`` of a cached parent."""
+    derivs = {(0,) * fn.dim: fn}
 
     def deriv_of(gamma):
         cached = derivs.get(gamma)
@@ -176,6 +175,14 @@ def _leibniz_terms(a: DiffOp, beta, cb: CoefFn):
             derivs[gamma] = cached
         return cached
 
+    return deriv_of
+
+
+def _leibniz_terms(a: DiffOp, beta, cb: CoefFn):
+    """Terms of ``a (cb d^beta)`` by the Leibniz rule: for each ``alpha`` of
+    ``a`` and ``gamma <= alpha``, ``binom(alpha, gamma) c_alpha (d^gamma cb)``
+    at ``d^(alpha - gamma + beta)``."""
+    deriv_of = _derivatives(cb)
     for alpha, ca in a.terms.items():
         for gamma in _sub_indices(alpha):
             deriv = deriv_of(gamma)

@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 from .classical import StructureMatrix
-from .functions import CoefFn, cos_of, exponential, monomial, sin_of, zero
+from .functions import CoefFn, exponential, monomial, zero
 from .operators import DiffOp, mult, zero_op
 from .scalars import ComplexRational
 
@@ -46,11 +46,10 @@ def random_polynomial(
     dim: int,
     max_degree: int = 3,
     max_terms: int = 3,
-    real: bool = True,
 ) -> CoefFn:
     out = zero(dim)
     for _ in range(rng.randint(1, max_terms)):
-        coeff = random_scalar(rng, real=real)
+        coeff = random_scalar(rng, real=True)
         out = out + monomial(dim, _random_exponents(rng, dim, max_degree), coeff)
     return out
 
@@ -75,19 +74,9 @@ def random_coef_fn(
     return out
 
 
-def random_structure_fn(
-    rng: random.Random,
-    dim: int,
-    max_degree: int = 3,
-    trig: bool = False,
-) -> CoefFn:
-    """Real structure function: polynomial, optionally plus a sine/cosine."""
-    out = random_polynomial(rng, dim, max_degree=max_degree, real=True)
-    if trig:
-        axis = rng.randrange(dim)
-        wave = cos_of(dim, axis) if rng.random() < 0.5 else sin_of(dim, axis)
-        out = out + wave.scaled(random_fraction(rng))
-    return out
+def random_structure_fn(rng: random.Random, dim: int, max_degree: int = 3) -> CoefFn:
+    """Real structure function: a random real polynomial."""
+    return random_polynomial(rng, dim, max_degree=max_degree)
 
 
 def random_diff_op(
@@ -130,14 +119,11 @@ def random_periodic_fn(
     return out
 
 
-def random_periodic_diff_op(
-    rng: random.Random,
-    max_order: int = 2,
-    max_terms: int = 2,
-) -> DiffOp:
+def random_periodic_diff_op(rng: random.Random) -> DiffOp:
+    """Nonzero 1-D operator: up to two terms of order <= 2, periodic coefficients."""
     out = zero_op(1)
-    for _ in range(rng.randint(1, max_terms)):
-        order = rng.randint(0, max_order)
+    for _ in range(rng.randint(1, 2)):
+        order = rng.randint(0, 2)
         coeff = random_periodic_fn(rng, max_freq=2, max_terms=2)
         out = out + DiffOp(1, {(order,): coeff})
     if out.is_zero:

@@ -189,7 +189,6 @@ def _normalized(a: int, b: int, d: int) -> ComplexRational:
 ZERO = ComplexRational()
 ONE = ComplexRational(1)
 I = ComplexRational(0, 1)
-MINUS_I = ComplexRational(0, -1)
 
 
 def _coerce_or_none(value):

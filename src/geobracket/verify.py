@@ -8,6 +8,9 @@ order only the decomposition ``N_cl = N_cc + N_ll`` holds and is checked on
 order-2 draws.  Likewise the momentum-momentum bracket is compared against
 its exact closed form, which vanishes for i != j only where
 ``d_i s = d_j s = 0``, so for every ``s`` only in one dimension.
+
+Each identity is stated once, here: the unit tests and the acceptance gate
+call these checks, or the ``*_hold(s)`` predicates they are built from.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ from .randomized import (
     random_structure_fn,
     trial_rng,
 )
-from .scalars import ComplexRational
 
 
 @dataclass(frozen=True)
@@ -139,11 +141,15 @@ def check_s_transform_sg(rng, max_dim) -> bool:
     return qcpb(s, a, b).total == rebuilt
 
 
-def check_jacobi_decomposition(rng, max_dim) -> bool:
-    dim, s, a, b = _draw(rng, max_dim)
-    c = random_diff_op(rng, dim, max_terms=2)
+def jacobi_decomposition_holds(s, a, b, c) -> bool:
+    """``N_cl = N_cc + N_ll`` with ``N_cc = 0``, at any order and dimension."""
     res = jacobi_residuals(s, a, b, c)
     return res.n_cc.is_zero and res.n_cl == res.n_cc + res.n_ll
+
+
+def check_jacobi_decomposition(rng, max_dim) -> bool:
+    dim, s, a, b = _draw(rng, max_dim)
+    return jacobi_decomposition_holds(s, a, b, random_diff_op(rng, dim, max_terms=2))
 
 
 def check_jacobi_vanishing_first_order(rng, max_dim) -> bool:
@@ -167,11 +173,15 @@ def check_degenerate_structure(rng, max_dim) -> bool:
     return report.geomutator_part.is_zero and report.total == commutator(a, b)
 
 
+def structure_bracket_scaling_holds(s, b) -> bool:
+    """The extended bracket of ``s .`` itself: ``[s ., b] = (1 + s) [s ., b]``."""
+    s_op = mult(s)
+    return qcpb(s, s_op, b).total == compose(mult(one(s.dim) + s), commutator(s_op, b))
+
+
 def check_structure_bracket_scaling(rng, max_dim) -> bool:
-    dim, s, _, b = _draw(rng, max_dim)
-    lhs = qcpb(s, mult(s), b).total
-    rhs = compose(mult(one(dim) + s), commutator(mult(s), b))
-    return lhs == rhs
+    _, s, _, b = _draw(rng, max_dim)
+    return structure_bracket_scaling_holds(s, b)
 
 
 def check_hermitian_split(rng, max_dim) -> bool:
@@ -181,25 +191,30 @@ def check_hermitian_split(rng, max_dim) -> bool:
     return hermitian_split_qcpb(s, *parts).expansion_holds
 
 
+def position_brackets_hold(table) -> bool:
+    """``[x_i, p_j] = i hbar theta_ij`` and ``[x_i, x_j] = 0`` on every entry."""
+    return all(
+        table.position_momentum[i, j].total == table.expected_position_momentum(i, j)
+        and table.position_position[i, j].total.is_zero
+        for i, j in table.theta
+    )
+
+
+def ccr_table_holds(s, params) -> bool:
+    """The position brackets, ``[p_i, p_j] = hbar^2 ((d_j s) d_i - (d_i s) d_j)``
+    and the coherence ``G(s, x_i, p_j) / (i hbar) = theta_ij - delta_ij``."""
+    table = geometric_ccr_suite(s, params)
+    return position_brackets_hold(table) and all(
+        table.momentum_momentum[i, j].total == table.expected_momentum_momentum(i, j)
+        and geomutator_ccr_part(s, i, j, params)
+        == mult(table.theta[i, j] - (one(s.dim) if i == j else zero(s.dim)))
+        for i, j in table.theta
+    )
+
+
 def check_ccr_suite(rng, max_dim) -> bool:
     dim = _pick_dim(rng, max_dim)
-    s = random_polynomial(rng, dim, max_degree=3)
-    params = Params()
-    table = geometric_ccr_suite(s, params)
-    i_hbar = ComplexRational(0, params.hbar)
-    for i in range(dim):
-        for j in range(dim):
-            if table.position_momentum[i, j].total != table.expected_position_momentum(i, j):
-                return False
-            if not table.position_position[i, j].total.is_zero:
-                return False
-            if table.momentum_momentum[i, j].total != table.expected_momentum_momentum(i, j):
-                return False
-            coherence = geomutator_ccr_part(s, i, j, params)
-            delta = one(dim) if i == j else zero(dim)
-            if coherence != mult(table.theta[i, j] - delta):
-                return False
-    return True
+    return ccr_table_holds(random_polynomial(rng, dim, max_degree=3), Params())
 
 
 def check_covariant_decomposition(rng, max_dim) -> bool:
@@ -211,6 +226,24 @@ def check_covariant_decomposition(rng, max_dim) -> bool:
     decomposed = gen_heisenberg_rhs(s, h, f) + compose(f, w)
     conserved = covariant_rhs(s, h, h.op).is_zero
     return covariant_rhs(s, h, f) == decomposed and conserved
+
+
+def position_momentum_expansion_holds(s, j, pairs) -> bool:
+    """``{x_a, p_b}_s = {x_a, p_b} + x_a {s, p_b} + p_b sum_q J_aq d_q s``, with
+    the J-contraction term built verbatim from the matrix entries."""
+    size = 2 * pairs
+    for a in range(pairs):
+        for b in range(pairs):
+            x_a = coord(size, a)
+            p_b = coord(size, pairs + b)
+            contraction = zero(size)
+            for q in range(size):
+                if j[a, q]:
+                    contraction = contraction + s.diff(q).scaled(j[a, q])
+            expected = gpb(x_a, p_b, j) + x_a * gpb(s, p_b, j) + p_b * contraction
+            if gspb(s, x_a, p_b, j) != expected:
+                return False
+    return True
 
 
 def check_classical_brackets(rng, max_dim) -> bool:
@@ -229,20 +262,7 @@ def check_classical_brackets(rng, max_dim) -> bool:
     decomposition = dynamics_rhs(s, h, f, j, "gchs") == dynamics_rhs(
         s, h, f, j, "tghs"
     ) + f * dynamics_rhs(s, h, f, j, "sdyn")
-    # Position/momentum bracket expansion, with the J-contraction term
-    # built verbatim from the matrix entries.
-    expansion = True
-    for a in range(pairs):
-        for b in range(pairs):
-            x_a = coord(size, a)
-            p_b = coord(size, pairs + b)
-            contraction = zero(size)
-            for q in range(size):
-                if j[a, q]:
-                    contraction = contraction + s.diff(q).scaled(j[a, q])
-            expected = gpb(x_a, p_b, j) + x_a * gpb(s, p_b, j) + p_b * contraction
-            if gspb(s, x_a, p_b, j) != expected:
-                expansion = False
+    expansion = position_momentum_expansion_holds(s, j, pairs)
     return antisymmetric and decomposition and expansion
 
 

@@ -17,8 +17,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from geobracket.brackets import jacobi_residuals, qcpb, s_transform
-from geobracket.classical import StructureMatrix, gpb, gspb
+from geobracket import verify
+from geobracket.brackets import jacobi_residuals, qcpb
+from geobracket.classical import StructureMatrix, gspb
 from geobracket.functions import (
     coord,
     cos_of,
@@ -37,7 +38,6 @@ from geobracket.grid import (
     sample,
 )
 from geobracket.operators import (
-    commutator,
     compose,
     momentum,
     mult,
@@ -112,15 +112,8 @@ def test_criterion_3a_position_brackets_exact():
     """[x_i, p_j] = i hbar theta_ij and [x_i, x_j] = 0, 200 random draws."""
     start = time.monotonic()
     ok = True
-    for dim, s in _ccr_draws():
-        table = geometric_ccr_suite(s, Params())
-        for i in range(dim):
-            for j in range(dim):
-                ok = ok and (
-                    table.position_momentum[i, j].total
-                    == table.expected_position_momentum(i, j)
-                )
-                ok = ok and table.position_position[i, j].total.is_zero
+    for _, s in _ccr_draws():
+        ok = ok and verify.position_brackets_hold(geometric_ccr_suite(s, Params()))
     elapsed = time.monotonic() - start
     report("3a", "position commutation table", ok and elapsed < 10.0,
            f"200 draws, n in 1..3, {elapsed:.2f}s")
@@ -176,9 +169,8 @@ def test_criterion_4a_jacobi_decomposition():
     """N_cl = N_cc + N_ll exactly on 100 random order-2 triples."""
     start = time.monotonic()
     ok = True
-    for s, (a, b, c) in _jacobi_draws():
-        res = jacobi_residuals(s, a, b, c)
-        ok = ok and res.n_cl == res.n_cc + res.n_ll and res.n_cc.is_zero
+    for s, ops in _jacobi_draws():
+        ok = ok and verify.jacobi_decomposition_holds(s, *ops)
     elapsed = time.monotonic() - start
     report("4a", "jacobi decomposition", ok and elapsed < 30.0,
            f"100 triples, {elapsed:.2f}s")
@@ -309,23 +301,11 @@ def test_vanishing_counterexamples_match_sympy():
 
 def test_criterion_5_transform_rewritings():
     """Both transform rewritings of the bracket, 100 random pairs."""
-    ok = True
-    for index in range(100):
-        rng = trial_rng(97, "acceptance-transform", index)
-        dim = rng.randint(1, 2)
-        s = random_structure_fn(rng, dim)
-        a = random_diff_op(rng, dim, max_terms=2)
-        b = random_diff_op(rng, dim, max_terms=2)
-        total = qcpb(s, a, b).total
-        plain = (
-            compose(a, s_transform(s, b, "plain"))
-            - compose(b, s_transform(s, a, "plain"))
-            - compose(commutator(a, b), mult(s))
-        )
-        sg = compose(a, s_transform(s, b, "sg")) - compose(
-            b, s_transform(s, a, "sg")
-        )
-        ok = ok and total == plain and total == sg
+    ok = all(
+        check(trial_rng(97, "acceptance-transform", index), 2)
+        for index in range(100)
+        for check in (verify.check_s_transform_plain, verify.check_s_transform_sg)
+    )
     report("5", "transform rewritings", ok, "100 pairs")
 
 
@@ -447,29 +427,16 @@ def test_criterion_9_classical_position_momentum_bracket():
         pairs = rng.randint(1, 2)
         size = 2 * pairs
         s = random_polynomial(rng, size, max_degree=3)
-        for j in (
-            StructureMatrix.canonical(pairs),
-            random_antisymmetric_matrix(rng, size),
-        ):
-            canonical = j == StructureMatrix.canonical(pairs)
-            for a in range(pairs):
-                for b in range(pairs):
-                    x_a = coord(size, a)
-                    p_b = coord(size, pairs + b)
-                    contraction = zero(size)
-                    for q in range(size):
-                        if j[a, q]:
-                            contraction = contraction + s.diff(q).scaled(j[a, q])
-                    expected = (
-                        gpb(x_a, p_b, j) + x_a * gpb(s, p_b, j) + p_b * contraction
-                    )
-                    ok = ok and gspb(s, x_a, p_b, j) == expected
-                    if canonical:
-                        delta = one(size) if a == b else zero(size)
-                        explicit = (
-                            delta + x_a * s.diff(b) + p_b * s.diff(pairs + a)
-                        )
-                        ok = ok and gspb(s, x_a, p_b, j) == explicit
+        canonical = StructureMatrix.canonical(pairs)
+        for j in (canonical, random_antisymmetric_matrix(rng, size)):
+            ok = ok and verify.position_momentum_expansion_holds(s, j, pairs)
+        for a in range(pairs):
+            for b in range(pairs):
+                x_a = coord(size, a)
+                p_b = coord(size, pairs + b)
+                delta = one(size) if a == b else zero(size)
+                explicit = delta + x_a * s.diff(b) + p_b * s.diff(pairs + a)
+                ok = ok and gspb(s, x_a, p_b, canonical) == explicit
     report("9", "classical position-momentum bracket", ok,
            "40 draws, canonical and random J")
 

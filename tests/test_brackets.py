@@ -1,7 +1,9 @@
 """Extended-bracket identities: worked examples, transforms, Jacobi sums."""
 
 import pytest
+from identity_catalogue import catalogue_test
 
+from geobracket import brackets, quantum, verify
 from geobracket.brackets import (
     geomutator,
     hermitian_split_qcpb,
@@ -31,13 +33,9 @@ from geobracket.operators import (
     position,
     zero_op,
 )
-from geobracket.randomized import (
-    random_diff_op,
-    random_first_order_op,
-    random_structure_fn,
-    trial_rng,
-)
+from geobracket.randomized import random_diff_op, random_structure_fn, trial_rng
 from geobracket.scalars import ComplexRational
+from geobracket.verify import run_identity_suite, structure_bracket_scaling_holds
 
 I = ComplexRational(0, 1)
 
@@ -126,17 +124,6 @@ def test_sandwich_reduces_to_commutator_for_unit_structure():
     assert sandwich(one(1), a, a).is_zero
 
 
-@pytest.mark.parametrize("index", range(20))
-def test_sandwich_decomposition_identity(index):
-    rng = trial_rng(2, "sandwich-id", index)
-    dim = rng.randint(1, 2)
-    s = random_structure_fn(rng, dim)
-    a = random_diff_op(rng, dim, max_terms=2)
-    b = random_diff_op(rng, dim, max_terms=2)
-    rebuilt = sandwich(s, a, b) - compose(commutator(a, b), mult(s))
-    assert geomutator(s, a, b) == rebuilt
-
-
 def test_plain_transform_with_zero_structure():
     a = random_diff_op(trial_rng(3, "transform", 0), 1)
     assert s_transform(zero(1), a, "plain") == a
@@ -147,69 +134,13 @@ def test_unknown_transform_variant():
         s_transform(zero(1), identity(1), "bogus")
 
 
-@pytest.mark.parametrize("index", range(20))
-def test_transform_rewritings_of_the_bracket(index):
-    rng = trial_rng(3, "transform-id", index)
-    dim = rng.randint(1, 2)
-    s = random_structure_fn(rng, dim)
-    a = random_diff_op(rng, dim, max_terms=2)
-    b = random_diff_op(rng, dim, max_terms=2)
-    total = qcpb(s, a, b).total
-    plain = (
-        compose(a, s_transform(s, b, "plain"))
-        - compose(b, s_transform(s, a, "plain"))
-        - compose(commutator(a, b), mult(s))
-    )
-    sg = compose(a, s_transform(s, b, "sg")) - compose(b, s_transform(s, a, "sg"))
-    assert total == plain
-    assert total == sg
-
-
-@pytest.mark.parametrize("index", range(10))
-def test_generalized_leibniz_rule(index):
-    # [a, h b] = h [a, b] + [a, h] b + G(s, a, h b)
-    rng = trial_rng(6, "leibniz", index)
-    dim = rng.randint(1, 2)
-    s = random_structure_fn(rng, dim)
-    a = random_diff_op(rng, dim, max_terms=2)
-    b = random_diff_op(rng, dim, max_terms=2)
-    h = random_diff_op(rng, dim, max_order=1, max_terms=2)
-    product = compose(h, b)
-    expected = (
-        compose(h, commutator(a, b))
-        + compose(commutator(a, h), b)
-        + geomutator(s, a, product)
-    )
-    assert qcpb(s, a, product).total == expected
-
-
-@pytest.mark.parametrize("index", range(10))
-def test_geomutator_product_expansion(index):
-    # G(s, a, h b) = a [s, h] b + a h [s, b] - h b [s, a]
-    rng = trial_rng(6, "g-product", index)
-    dim = rng.randint(1, 2)
-    s = random_structure_fn(rng, dim)
-    a = random_diff_op(rng, dim, max_terms=2)
-    b = random_diff_op(rng, dim, max_terms=2)
-    h = random_diff_op(rng, dim, max_order=1, max_terms=2)
-    s_op = mult(s)
-    expected = (
-        compose(a, compose(commutator(s_op, h), b))
-        + compose(a, compose(h, commutator(s_op, b)))
-        - compose(compose(h, b), commutator(s_op, a))
-    )
-    assert geomutator(s, a, compose(h, b)) == expected
-
-
 @pytest.mark.parametrize("index", range(10))
 def test_structure_bracket_scaling(index):
     # [s ., b] under the extended bracket = (1 + s) [s ., b]
     rng = trial_rng(6, "scaling", index)
     dim = rng.randint(1, 2)
     s = random_structure_fn(rng, dim)
-    b = random_diff_op(rng, dim, max_terms=2)
-    lhs = qcpb(s, mult(s), b).total
-    assert lhs == compose(mult(one(dim) + s), commutator(mult(s), b))
+    assert structure_bracket_scaling_holds(s, random_diff_op(rng, dim, max_terms=2))
 
 
 def test_jacobi_zero_structure_reduces_to_plain_jacobi():
@@ -219,25 +150,6 @@ def test_jacobi_zero_structure_reduces_to_plain_jacobi():
     assert res.n_cc.is_zero
     assert res.n_ll.is_zero
     assert res.n_cl.is_zero
-
-
-@pytest.mark.parametrize("index", range(10))
-def test_jacobi_decomposition_always_exact(index):
-    rng = trial_rng(4, "jacobi-dec", index)
-    dim = rng.randint(1, 2)
-    s = random_structure_fn(rng, dim)
-    a, b, c = (random_diff_op(rng, dim, max_terms=2) for _ in range(3))
-    res = jacobi_residuals(s, a, b, c)
-    assert res.n_cc.is_zero
-    assert res.n_cl == res.n_cc + res.n_ll
-
-
-@pytest.mark.parametrize("index", range(10))
-def test_jacobi_vanishes_on_first_order_1d_triples(index):
-    rng = trial_rng(4, "jacobi-1d", index)
-    s = random_structure_fn(rng, 1)
-    a, b, c = (random_first_order_op(rng, 1) for _ in range(3))
-    assert jacobi_residuals(s, a, b, c).n_cl.is_zero
 
 
 def test_jacobi_worked_triple():
@@ -266,12 +178,40 @@ def test_hermitian_split_reduces_when_imaginary_parts_vanish():
     assert report.expansion_holds
 
 
-@pytest.mark.parametrize("index", range(15))
-def test_hermitian_split_expansion(index):
-    rng = trial_rng(5, "split", index)
-    dim = rng.randint(1, 2)
-    s = random_structure_fn(rng, dim)
-    parts = [random_diff_op(rng, dim, max_terms=2) for _ in range(4)]
-    report = hermitian_split_qcpb(s, *parts)
-    assert report.expansion_holds
-    assert report.combined.total == report.recombined_total
+# Identities stated once in geobracket.verify, each on the draws it makes there.
+test_sandwich_decomposition_identity = catalogue_test(
+    2, "sandwich-id", 20, verify.check_sandwich_decomposition
+)
+test_transform_rewritings_of_the_bracket = catalogue_test(
+    3, "transform-id", 20, verify.check_s_transform_plain, verify.check_s_transform_sg
+)
+test_generalized_leibniz_rule = catalogue_test(6, "leibniz", 10, verify.check_leibniz)
+test_geomutator_product_expansion = catalogue_test(
+    6, "g-product", 10, verify.check_geomutator_product
+)
+test_jacobi_decomposition_always_exact = catalogue_test(
+    4, "jacobi-dec", 10, verify.check_jacobi_decomposition
+)
+test_jacobi_vanishes_on_first_order_1d_triples = catalogue_test(
+    4, "jacobi-1d", 10, verify.check_jacobi_vanishing_first_order
+)
+test_hermitian_split_expansion = catalogue_test(
+    5, "split", 15, verify.check_hermitian_split
+)
+
+
+@pytest.mark.parametrize(
+    "broken",
+    [
+        lambda s, a, b: zero_op(s.dim),
+        lambda s, a, b: compose(a, commutator(mult(s), b)),
+    ],
+    ids=["zero", "half"],
+)
+def test_identity_suite_fails_with_a_broken_geomutator(monkeypatch, broken):
+    """With ``G(s, a, b)`` replaced by 0, or by its half ``a [s, b]``, at
+    least 7 checks fail: no catalogue predicate holds for any bracket."""
+    for module in (brackets, verify, quantum):
+        monkeypatch.setattr(module, "geomutator", broken)
+    failing = [r.name for r in run_identity_suite(trials=3, seed=7) if not r.ok]
+    assert len(failing) >= 7, failing

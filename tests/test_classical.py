@@ -18,6 +18,7 @@ from geobracket.randomized import (
     random_polynomial,
     trial_rng,
 )
+from geobracket.verify import position_momentum_expansion_holds
 
 J1 = StructureMatrix.canonical(1)
 J2 = StructureMatrix.canonical(2)
@@ -83,38 +84,20 @@ def test_gspb_bilinear(index):
 def test_position_momentum_expansion(pairs):
     """{x_j, p_k}_s = delta_jk + x_j d_k s + p_k * sum_q J_jq d_q s."""
     size = 2 * pairs
+    canonical = StructureMatrix.canonical(pairs)
     for index in range(6):
         rng = trial_rng(32, f"cche-{pairs}", index)
         s = random_polynomial(rng, size, max_degree=3)
-        for use_random_j in (False, True):
-            j = (
-                random_antisymmetric_matrix(rng, size)
-                if use_random_j
-                else StructureMatrix.canonical(pairs)
-            )
-            for a in range(pairs):
-                for b in range(pairs):
-                    x_a = coord(size, a)
-                    p_b = coord(size, pairs + b)
-                    contraction = zero(size)
-                    for qi in range(size):
-                        if j[a, qi]:
-                            contraction = contraction + s.diff(qi).scaled(j[a, qi])
-                    expected = (
-                        gpb(x_a, p_b, j)
-                        + x_a * gpb(s, p_b, j)
-                        + p_b * contraction
-                    )
-                    assert gspb(s, x_a, p_b, j) == expected
-                    if not use_random_j:
-                        # fully explicit canonical form
-                        delta = one(size) if a == b else zero(size)
-                        explicit = (
-                            delta
-                            + x_a * s.diff(b)
-                            + p_b * s.diff(pairs + a)
-                        )
-                        assert gspb(s, x_a, p_b, j) == explicit
+        assert position_momentum_expansion_holds(s, canonical, pairs)
+        j = random_antisymmetric_matrix(rng, size)
+        assert position_momentum_expansion_holds(s, j, pairs)
+        for a in range(pairs):
+            for b in range(pairs):
+                # fully explicit canonical form
+                x_a, p_b = q(a, pairs), p(b, pairs)
+                delta = one(size) if a == b else zero(size)
+                explicit = delta + x_a * s.diff(b) + p_b * s.diff(pairs + a)
+                assert gspb(s, x_a, p_b, canonical) == explicit
 
 
 def test_dynamics_kinds_and_identity():

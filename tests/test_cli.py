@@ -289,6 +289,32 @@ def test_dim_zero_is_a_usage_error(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "option, message",
+    [
+        ("--tol=nan", "must be finite"),
+        ("--tol=-inf", "must be finite"),
+        ("--tol=-1", "must be >= 0"),
+        ("--pairs=0", "must be >= 1"),
+        ("--pairs=-2", "must be >= 1"),
+    ],
+    ids=["tol-nan", "tol-minus-inf", "tol-negative", "pairs-0", "pairs-negative"],
+)
+def test_bad_tolerance_or_pairs_is_a_usage_error(capsys, option, message):
+    argv = ["grid-check", "--s", "0", "--a", "d1", "--b", "exp(i*x1)", "--n", "64"]
+    if option.startswith("--pairs"):
+        argv = ["classical", "--s", "x1^2", "--f", "x1", "--g", "x2^2"]
+    code, err = _usage_error(capsys, *argv, option)
+    assert code == 2
+    assert option.split("=")[0] in err and message in err
+
+
+def test_classical_pairs_sets_the_coordinate_count(capsys):
+    argv = ["classical", "--s", "0", "--f", "x3", "--g", "x2", "--pairs", "1"]
+    code, _, err = run_cli(capsys, *argv)
+    assert (code, err) == (3, "dimension error: x3 does not fit in 2 coordinate(s)\n")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["grid-check", "--s", "0", "--a", "d1", "--b", "exp(i*x1)", "--n", "1048576"],

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from geobracket.errors import DimensionMismatch
-from geobracket.functions import coord, exponential, monomial, one, sin_of
+from geobracket.functions import coord, exponential, monomial, one, sin_of, zero
 from geobracket.operators import (
     DiffOp,
     commutator,
@@ -135,3 +135,18 @@ def test_normal_form_unique():
     right = identity(1) + compose(position(1), partial_d(1))
     assert left == right
     assert str(left) == str(right)
+
+
+@pytest.mark.parametrize("index", range(10))
+def test_apply_equals_iterated_derivatives(index):
+    # A psi = sum_alpha c_alpha d^alpha psi, with d^alpha taken axis by axis
+    rng = trial_rng(8, "apply-diff", index)
+    a = random_diff_op(rng, 2, max_order=3)
+    psi = random_coef_fn(rng, 2)
+    expected = zero(2)
+    for (i, j), coeff in a.terms.items():
+        derivative = psi
+        for axis in (0,) * i + (1,) * j:
+            derivative = derivative.diff(axis)
+        expected = expected + coeff * derivative
+    assert a(psi) == expected

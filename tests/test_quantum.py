@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from identity_catalogue import catalogue_test
 
 from geobracket.brackets import qcpb
 from geobracket.functions import const, coord, monomial, one, zero
@@ -24,7 +25,6 @@ from geobracket.quantum import (
     gen_heisenberg_rhs,
     geomentum,
     geometric_ccr_suite,
-    geomutator_ccr_part,
     harmonic_oscillator,
 )
 from geobracket.randomized import (
@@ -34,6 +34,7 @@ from geobracket.randomized import (
     trial_rng,
 )
 from geobracket.scalars import ComplexRational
+from geobracket.verify import ccr_table_holds, check_covariant_decomposition
 
 I = ComplexRational(0, 1)
 
@@ -138,15 +139,9 @@ def test_hamiltonian_plain_rate_is_minus_h_w():
     assert gen_heisenberg_rhs(s, h, h.op) == compose(h.op, w).scaled(-1)
 
 
-@pytest.mark.parametrize("index", range(10))
-def test_covariant_decomposition_random(index):
-    rng = trial_rng(22, "decomp", index)
-    dim = rng.randint(1, 2)
-    s = random_structure_fn(rng, dim)
-    h = custom(random_diff_op(rng, dim, max_terms=2))
-    f = random_diff_op(rng, dim, max_terms=2)
-    w = gdynamics(s, h).w_op
-    assert covariant_rhs(s, h, f) == gen_heisenberg_rhs(s, h, f) + compose(f, w)
+test_covariant_decomposition_random = catalogue_test(
+    22, "decomp", 10, check_covariant_decomposition
+)
 
 
 def test_equilibrium_characterization():
@@ -195,19 +190,7 @@ def test_ccr_table(dim):
     for index in range(6):
         rng = trial_rng(23, f"ccr-{dim}", index)
         s = random_polynomial(rng, dim, max_degree=3)
-        params = Params(hbar=Fraction(rng.randint(1, 2)))
-        table = geometric_ccr_suite(s, params)
-        for i in range(dim):
-            for j in range(dim):
-                assert (
-                    table.position_momentum[i, j].total
-                    == table.expected_position_momentum(i, j)
-                )
-                assert table.position_position[i, j].total.is_zero
-                assert (
-                    table.momentum_momentum[i, j].total
-                    == table.expected_momentum_momentum(i, j)
-                )
+        assert ccr_table_holds(s, Params(hbar=Fraction(rng.randint(1, 2))))
 
 
 def test_momentum_momentum_closed_form_vanishes_only_in_1d():
@@ -229,9 +212,4 @@ def test_momentum_momentum_closed_form_vanishes_only_in_1d():
 @pytest.mark.parametrize("dim", [1, 2])
 def test_geomutator_ccr_coherence(dim):
     rng = trial_rng(23, f"coherence-{dim}", 0)
-    s = random_polynomial(rng, dim, max_degree=3)
-    table = geometric_ccr_suite(s)
-    for i in range(dim):
-        for j in range(dim):
-            delta = one(dim) if i == j else zero(dim)
-            assert geomutator_ccr_part(s, i, j) == mult(table.theta[i, j] - delta)
+    assert ccr_table_holds(random_polynomial(rng, dim, max_degree=3), Params())
