@@ -18,7 +18,6 @@ from .brackets import (
     s_transform,
 )
 from .classical import (
-    PhaseFn,
     StructureMatrix,
     dynamics_rhs,
     geobracket_part,
@@ -63,7 +62,6 @@ from .operators import (
     DiffOp,
     commutator,
     compose,
-    derivative,
     identity,
     momentum,
     mult,
@@ -79,8 +77,6 @@ from .quantum import (
     Hamiltonian,
     Params,
     covariant_rhs,
-    custom,
-    free_particle,
     gdynamics,
     gen_heisenberg_rhs,
     geomentum,

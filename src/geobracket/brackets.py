@@ -130,13 +130,12 @@ class HermitianSplitReport:
     """Bracket of ``f = f+ + i f-`` against ``g = g+ + i g-`` with its expansion.
 
     ``combined`` is the bracket of the recombined operators; the four part
-    reports are the brackets of the components.  ``recombined_total`` (and
-    the per-part sums) rebuild the combined bracket from the components:
+    reports are the brackets of the components.  ``expansion_holds`` checks
+    that the components rebuild the combined bracket,
 
-        [f, g] = [f+, g+] - [f-, g-] + i ([f-, g+] + [f+, g-])
+        [f, g] = [f+, g+] - [f-, g-] + i ([f-, g+] + [f+, g-]),
 
-    and the same split holds for the commutator and correction parts
-    separately.
+    for the total and for the commutator and correction parts separately.
     """
 
     combined: BracketReport
@@ -145,32 +144,14 @@ class HermitianSplitReport:
     minus_plus: BracketReport
     plus_minus: BracketReport
 
-    def _recombine(self, pick) -> DiffOp:
-        return (
-            pick(self.plus_plus)
-            - pick(self.minus_minus)
-            + (pick(self.minus_plus) + pick(self.plus_minus)).scaled(I)
-        )
-
-    @property
-    def recombined_total(self) -> DiffOp:
-        return self._recombine(lambda r: r.total)
-
-    @property
-    def recombined_qpb(self) -> DiffOp:
-        return self._recombine(lambda r: r.qpb_part)
-
-    @property
-    def recombined_geomutator(self) -> DiffOp:
-        return self._recombine(lambda r: r.geomutator_part)
-
     @property
     def expansion_holds(self) -> bool:
-        return (
-            self.combined.total == self.recombined_total
-            and self.combined.qpb_part == self.recombined_qpb
-            and self.combined.geomutator_part == self.recombined_geomutator
-        )
+        parts = (self.plus_plus, self.minus_minus, self.minus_plus, self.plus_minus)
+        for name in ("total", "qpb_part", "geomutator_part"):
+            pp, mm, mp, pm = (getattr(report, name) for report in parts)
+            if getattr(self.combined, name) != pp - mm + (mp + pm).scaled(I):
+                return False
+        return True
 
 
 def hermitian_split_qcpb(

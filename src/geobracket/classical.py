@@ -19,19 +19,6 @@ from .errors import DimensionMismatch, NonPolynomialPhaseFunction
 from .functions import CoefFn, zero
 from .scalars import as_fraction
 
-#: Phase-space functions are plain coefficient functions restricted to
-#: polynomials; see :func:`require_polynomial`.
-PhaseFn = CoefFn
-
-
-def require_polynomial(f: CoefFn) -> CoefFn:
-    if not f.is_polynomial:
-        raise NonPolynomialPhaseFunction(
-            "phase-space functions must be polynomial (no exponential terms)"
-        )
-    return f
-
-
 @dataclass(frozen=True)
 class StructureMatrix:
     """Antisymmetric rational matrix defining the generalized bracket."""
@@ -70,14 +57,17 @@ class StructureMatrix:
 
 def _check(j: StructureMatrix, *fns: CoefFn):
     for f in fns:
-        require_polynomial(f)
+        if not f.is_polynomial:
+            raise NonPolynomialPhaseFunction(
+                "phase-space functions must be polynomial (no exponential terms)"
+            )
         if f.dim != j.size:
             raise DimensionMismatch(
                 f"function over {f.dim} coordinates with {j.size}x{j.size} structure matrix"
             )
 
 
-def gpb(f: PhaseFn, g: PhaseFn, j: StructureMatrix) -> PhaseFn:
+def gpb(f: CoefFn, g: CoefFn, j: StructureMatrix) -> CoefFn:
     """Generalized bracket ``sum_ab J_ab (d_a f)(d_b g)``."""
     _check(j, f, g)
     out = zero(f.dim)
@@ -94,25 +84,25 @@ def gpb(f: PhaseFn, g: PhaseFn, j: StructureMatrix) -> PhaseFn:
     return out
 
 
-def gspb(s: PhaseFn, f: PhaseFn, g: PhaseFn, j: StructureMatrix) -> PhaseFn:
+def gspb(s: CoefFn, f: CoefFn, g: CoefFn, j: StructureMatrix) -> CoefFn:
     """Structural bracket ``{f, g} + f {s, g} - g {s, f}``."""
     _check(j, s, f, g)
     return gpb(f, g, j) + f * gpb(s, g, j) - g * gpb(s, f, j)
 
 
-def geobracket_part(s: PhaseFn, f: PhaseFn, g: PhaseFn, j: StructureMatrix) -> PhaseFn:
+def geobracket_part(s: CoefFn, f: CoefFn, g: CoefFn, j: StructureMatrix) -> CoefFn:
     """The correction term alone: ``f {s, g} - g {s, f}``."""
     _check(j, s, f, g)
     return f * gpb(s, g, j) - g * gpb(s, f, j)
 
 
 def dynamics_rhs(
-    s: PhaseFn,
-    hamiltonian: PhaseFn,
-    f: PhaseFn,
+    s: CoefFn,
+    hamiltonian: CoefFn,
+    f: CoefFn,
     j: StructureMatrix,
     kind: str = "gchs",
-) -> PhaseFn:
+) -> CoefFn:
     """Right-hand side of the classical flow of ``f`` under ``hamiltonian``.
 
     ``gchs``: full covariant flow ``{f, H}_s``.

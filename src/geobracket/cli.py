@@ -7,8 +7,10 @@ rate equations for the quadratic Hamiltonian, plus a grid evolution),
 (structural Poisson brackets).  Exit codes: 0 success, 2 parse error or
 invalid input (argparse usage errors included, such as a ``--dim``,
 ``--trials`` or ``--pairs`` below 1, or a ``grid-check --tol`` that is
-negative or not finite), 3 dimension error, 4 tolerance/verification
-failure, 5 internal error.  Grid sizes (``grid-check --n``, ``oscillator
+negative or not finite; also a rational with a zero denominator, a
+``--J`` file that is not a JSON list of rows, and a ``--psi`` that
+vanishes on every grid point), 3 dimension error, 4 tolerance/verification failure,
+5 internal error (a bug).  Grid sizes (``grid-check --n``, ``oscillator
 --grid``) are powers of two from 16 to ``grid.MAX_POINTS`` (2048); any
 other size exits 2 before a matrix is allocated.
 """
@@ -24,14 +26,7 @@ from fractions import Fraction
 from . import grid as grid_mod
 from .brackets import geomutator, qcpb
 from .classical import StructureMatrix, dynamics_rhs, gpb, gspb
-from .errors import (
-    DimensionMismatch,
-    ExprSyntaxError,
-    NonPeriodicCoefficient,
-    NonPolynomialPhaseFunction,
-    NonRealStructureFunction,
-    ToleranceExceeded,
-)
+from .errors import DimensionMismatch, ExprSyntaxError, ToleranceExceeded
 from .operators import commutator, momentum, position
 from .parsing import as_function, lower, max_axis, parse, parse_function, parse_operator
 from .quantum import (
@@ -48,7 +43,7 @@ from .verify import format_results, run_identity_suite
 def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
@@ -327,7 +322,15 @@ def _load_structure_matrix(spec_text: str, pairs: int) -> StructureMatrix:
         raise ValueError(
             f"cannot read structure matrix file {spec_text!r}: {exc.strerror}"
         ) from exc
-    return StructureMatrix(tuple(tuple(Fraction(str(v)) for v in row) for row in rows))
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError("structure matrix file must hold a JSON list of rows")
+    try:
+        entries = tuple(tuple(Fraction(str(v)) for v in row) for row in rows)
+    except ZeroDivisionError as exc:
+        raise ValueError(
+            "structure matrix file has an entry with a zero denominator"
+        ) from exc
+    return StructureMatrix(entries)
 
 
 def cmd_classical(args) -> int:
@@ -381,12 +384,7 @@ def main(argv=None) -> int:
     except DimensionMismatch as exc:
         print(f"dimension error: {exc}", file=sys.stderr)
         return 3
-    except (
-        NonRealStructureFunction,
-        NonPolynomialPhaseFunction,
-        NonPeriodicCoefficient,
-        ValueError,
-    ) as exc:
+    except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
     except ToleranceExceeded as exc:

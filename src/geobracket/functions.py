@@ -203,27 +203,8 @@ class CoefFn(TermMap):
         return self == self.conjugate()
 
     @property
-    def is_constant(self) -> bool:
-        return all(
-            all(e == 0 for e in nu) and all(not k for k in kappa)
-            for nu, kappa in self.terms
-        )
-
-    @property
     def is_polynomial(self) -> bool:
         return all(all(not k for k in kappa) for _, kappa in self.terms)
-
-    def constant_value(self) -> ComplexRational:
-        if not self.is_constant:
-            raise ValueError("function is not constant")
-        if not self.terms:
-            return ZERO
-        return next(iter(self.terms.values()))
-
-    @property
-    def degree(self) -> int:
-        """Maximum total monomial degree (0 for the zero function)."""
-        return max((sum(nu) for nu, _ in self.terms), default=0)
 
     def sorted_terms(self):
         """Terms in a deterministic canonical order."""

@@ -8,9 +8,13 @@ with the exact engine is evidence rather than tautology.
 
 Scheme notes: ``spectral`` differentiates through the FFT and is exact (to
 rounding) on resolved Fourier modes, so it demands 2*pi-periodic
-coefficients; ``central2`` is a second-order stencil that accepts arbitrary
-coefficients (monomials included) at the cost of accuracy, with comparisons
-expected to exclude a boundary band near the domain seam.
+coefficients; ``central2`` is the second-order central difference
+``(f[i+1] - f[i-1]) / (2h)``, which accepts arbitrary coefficients
+(monomials included) at the cost of accuracy, and its comparisons exclude
+an ``n/8``-point band at each end of the domain seam.  A state ``psi``
+(``compare``, ``evolve``) must not vanish on every grid point, since
+expectations and relative residuals divide by its norm; such a state is
+rejected with ``ValueError``.
 
 Size budget: a grid has at most ``MAX_POINTS`` (2048) points, since every
 operator is a dense n x n complex matrix (64 MiB at the cap); larger sizes
@@ -84,10 +88,6 @@ class GridSpec:
     def points(self) -> np.ndarray:
         return np.arange(self.n_points) * self.spacing
 
-    def boundary_band(self) -> int:
-        """Points to drop at each end of the seam for non-periodic data."""
-        return self.n_points // 8 if self.scheme == "central2" else 0
-
     @cached_property
     def _derivative_powers(self) -> dict:
         """``D^k`` by order, filled on demand; ``D`` is built once per spec."""
@@ -145,19 +145,16 @@ def derivative_matrix(spec: GridSpec) -> np.ndarray:
 
     Both schemes are circulant, ``D[i, j] = c[(i - j) % n]``, so each is
     built from its first column ``c``: ``ifft(i k)`` for ``spectral`` and
-    ``+-1/(2h)`` at the two neighbours for ``central2``.  The ``central2``
-    stencil as built is ``(f[i-1] - f[i+1]) / (2h)``, the negative of the
-    central difference; this known sign defect is tracked in ROADMAP and
-    not corrected here, since every ``central2`` flow and comparison
-    depends on it.
+    ``+-1/(2h)`` at the two neighbours for ``central2``, whose stencil is
+    the central difference ``(f[i+1] - f[i-1]) / (2h)``.
     """
     n = spec.n_points
     if spec.scheme == "spectral":
         column = np.fft.ifft(1j * _wavenumbers(n))
     else:
         column = np.zeros(n)
-        column[1] += 1.0
-        column[-1] -= 1.0
+        column[1] -= 1.0
+        column[-1] += 1.0
         column /= 2.0 * spec.spacing
     return _circulant(column)
 
@@ -179,6 +176,15 @@ def sample(f: CoefFn, spec: GridSpec) -> np.ndarray:
     return values
 
 
+def _state(psi: CoefFn, spec: GridSpec) -> np.ndarray:
+    """Samples of a state; one that vanishes on every grid point is refused,
+    since expectations and relative residuals divide by its norm."""
+    values = sample(psi, spec)
+    if not np.any(values):
+        raise ValueError("the state psi vanishes on every grid point")
+    return values
+
+
 def _is_periodic_term(nu, kappa) -> bool:
     return nu[0] == 0 and kappa[0].re == 0 and kappa[0].im.denominator == 1
 
@@ -196,10 +202,6 @@ class GridOp:
 
     matrix: np.ndarray
     spec: GridSpec
-
-    @property
-    def n_points(self) -> int:
-        return self.spec.n_points
 
 
 def discretize(op: DiffOp, spec: GridSpec) -> GridOp:
@@ -334,7 +336,8 @@ def compare(
     is restricted to the resolved band |k| <= n/4, where agreement is exact
     to rounding; under central2 a boundary band of ``n/8`` points at each
     end of the domain is excluded from the L2 residual instead (wraparound
-    pollutes the seam for non-periodic data).
+    pollutes the seam for non-periodic data).  A ``psi`` that vanishes on
+    every grid point raises ``ValueError``.
 
     The band-limited norm is the 2-norm of the n x (n/2 + 1) matrix of the
     resolved FFT columns (``_band_limited_norm``); no projector is formed.
@@ -347,9 +350,9 @@ def compare(
             "spectral comparison requires a periodic test function"
         )
     sym_mat = discretize(symbolic, spec).matrix
-    psi_vec = sample(psi, spec)
-    band = spec.boundary_band()
-    keep = slice(band, spec.n_points - band) if band else slice(None)
+    psi_vec = _state(psi, spec)
+    band = spec.n_points // 8 if spec.scheme == "central2" else 0
+    keep = slice(band, spec.n_points - band)
     sym_action = (sym_mat @ psi_vec)[keep]
     num_action = (numeric.matrix @ psi_vec)[keep]
 
@@ -384,8 +387,6 @@ class EvolutionResult:
     self-consistency diagnostic and stays at rounding level.
     """
 
-    law: str
-    spec: GridSpec
     times: list = field(default_factory=list)
     expectations: list = field(default_factory=list)
     residuals: list = field(default_factory=list)
@@ -425,7 +426,8 @@ def evolve(
 
     ``law`` selects the plain (``generalized_heisenberg``) or ``covariant``
     rate; expectation values ``<psi|F|psi> / <psi|psi>`` are recorded
-    against the supplied state (a uniform state when ``psi`` is omitted).
+    against the supplied state (a uniform state when ``psi`` is omitted; a
+    ``psi`` that vanishes on every grid point raises ``ValueError``).
     Each sample evaluates both rates, from their shared products, for its
     decomposition residual, and the one ``law`` selects is the next step's
     first RK4 stage.
@@ -440,7 +442,7 @@ def evolve(
     if psi is None:
         psi_vec = np.ones(spec.n_points, dtype=complex)
     else:
-        psi_vec = sample(psi, spec)
+        psi_vec = _state(psi, spec)
     psi_norm2 = float(np.real(np.vdot(psi_vec, psi_vec)))
 
     is_covariant = law == "covariant"
@@ -472,7 +474,7 @@ def evolve(
     n_samples = max(2, min(n_samples, steps + 1))
     sample_steps = sorted({round(k * steps / (n_samples - 1)) for k in range(n_samples)})
 
-    result = EvolutionResult(law=law, spec=spec)
+    result = EvolutionResult()
 
     def record(step_index, f):
         """Append a sample; return the rate of ``law`` at ``f``."""
@@ -505,10 +507,11 @@ def evolve(
     return result
 
 
-def is_hermitian(op: GridOp, tolerance: float = 1e-10) -> bool:
+def is_hermitian(op: GridOp) -> bool:
+    """Relative Frobenius defect of ``M - M^H`` at most ``1e-10``."""
     defect = np.linalg.norm(op.matrix - op.matrix.conj().T)
     scale = max(1.0, float(np.linalg.norm(op.matrix)))
-    return float(defect) / scale <= tolerance
+    return float(defect) / scale <= 1e-10
 
 
 def eigenvalues(op: GridOp) -> np.ndarray:

@@ -135,10 +135,6 @@ def partial_d(dim: int, axis: int = 0, order: int = 1) -> DiffOp:
     return DiffOp(dim, {alpha: one(dim)})
 
 
-def derivative(dim: int, alpha) -> DiffOp:
-    return DiffOp(dim, {tuple(alpha): one(dim)})
-
-
 def position(dim: int, axis: int = 0) -> DiffOp:
     """Multiplication by the coordinate ``x_axis``."""
     return mult(coord(dim, axis))

@@ -9,7 +9,8 @@ Grammar (juxtaposition is never multiplication; ``*`` is explicit):
              | 'exp' '(' expr ')' | '(' expr ')'
 
 Scalars are rational literals with an optional immediate ``i`` suffix
-(``3``, ``3/2``, ``2i``); the bare identifier ``i`` is the imaginary unit.
+(``3``, ``3/2``, ``2i``; a zero denominator is a syntax error); the bare
+identifier ``i`` is the imaginary unit.
 Coordinates and derivatives are 1-based in text (``x1``, ``d1``) and map to
 0-based axes.  ``s`` names the structure function supplied by the caller.
 """
@@ -198,7 +199,7 @@ class _Parser:
         token = self.peek()
         if token.kind == "number":
             self.advance()
-            return Scalar(_scalar_literal(token.text))
+            return Scalar(_scalar_literal(token))
         if token.kind == "(":
             self.advance()
             node = self.expr()
@@ -237,11 +238,17 @@ class _Parser:
         )
 
 
-def _scalar_literal(text: str) -> ComplexRational:
+def _scalar_literal(token: _Token) -> ComplexRational:
+    text = token.text
     imaginary = text.endswith("i")
     if imaginary:
         text = text[:-1] or "1"
-    value = Fraction(text)
+    try:
+        value = Fraction(text)
+    except ZeroDivisionError:
+        raise ExprSyntaxError(
+            f"zero denominator in {token.text!r}", token.line, token.column
+        ) from None
     return ComplexRational(0, value) if imaginary else ComplexRational(value)
 
 

@@ -27,7 +27,6 @@ from .operators import (
     mult,
     partial_d,
     position,
-    zero_op,
 )
 from .scalars import ComplexRational, as_fraction
 
@@ -60,32 +59,17 @@ class Params:
 @dataclass(frozen=True)
 class Hamiltonian:
     op: DiffOp
-    params: Params
-    kind: str = "custom"
+    params: Params = Params()
 
 
-def harmonic_oscillator(params: Params = Params(), dim: int = 1, axis: int = 0) -> Hamiltonian:
-    """``-hbar^2/(2m) d^2 + (m omega^2 / 2) x^2`` along one axis."""
+def harmonic_oscillator(params: Params = Params()) -> Hamiltonian:
+    """``-hbar^2/(2m) d^2 + (m omega^2 / 2) x^2`` in one dimension."""
     kinetic_coeff = Fraction(-1) * params.hbar**2 / (2 * params.mass)
     potential_coeff = params.mass * params.omega**2 / 2
-    exponents = tuple(2 if j == axis else 0 for j in range(dim))
-    op = partial_d(dim, axis, 2).scaled(kinetic_coeff) + mult(
-        monomial(dim, exponents, potential_coeff)
+    op = partial_d(1, 0, 2).scaled(kinetic_coeff) + mult(
+        monomial(1, (2,), potential_coeff)
     )
-    return Hamiltonian(op, params, "harmonic_oscillator")
-
-
-def free_particle(params: Params = Params(), dim: int = 1) -> Hamiltonian:
-    """``-hbar^2/(2m) * laplacian``."""
-    kinetic_coeff = Fraction(-1) * params.hbar**2 / (2 * params.mass)
-    op = zero_op(dim)
-    for axis in range(dim):
-        op = op + partial_d(dim, axis, 2).scaled(kinetic_coeff)
-    return Hamiltonian(op, params, "free_particle")
-
-
-def custom(op: DiffOp, params: Params = Params()) -> Hamiltonian:
-    return Hamiltonian(op, params, "custom")
+    return Hamiltonian(op, params)
 
 
 @dataclass(frozen=True)
@@ -93,7 +77,6 @@ class GDynamics:
     """The flow generator ``w = (1/i hbar) [s, H]`` and its energy form."""
 
     w_op: DiffOp
-    structure_fn: CoefFn
     geomenergy: DiffOp  # i hbar w = [s, H]
 
 
@@ -101,7 +84,7 @@ def gdynamics(s: CoefFn, h: Hamiltonian) -> GDynamics:
     _check(s, h.op)
     bracket = commutator(mult(s), h.op)
     w_op = bracket.scaled(h.params.inv_i_hbar)
-    return GDynamics(w_op=w_op, structure_fn=s, geomenergy=bracket)
+    return GDynamics(w_op=w_op, geomenergy=bracket)
 
 
 def gen_heisenberg_rhs(s: CoefFn, h: Hamiltonian, f: DiffOp) -> DiffOp:

@@ -21,10 +21,9 @@ def trial_rng(seed: int, label: str, index: int) -> random.Random:
     return random.Random(f"{seed}/{label}/{index}")
 
 
-def random_fraction(rng: random.Random, max_num: int = 3, max_den: int = 2) -> Fraction:
-    num = rng.randint(-max_num, max_num)
-    den = rng.randint(1, max_den)
-    return Fraction(num, den)
+def random_fraction(rng: random.Random) -> Fraction:
+    """``num / den`` with ``num`` in ``[-3, 3]`` and ``den`` in ``{1, 2}``."""
+    return Fraction(rng.randint(-3, 3), rng.randint(1, 2))
 
 
 def random_scalar(rng: random.Random, real: bool = False) -> ComplexRational:
@@ -74,9 +73,9 @@ def random_coef_fn(
     return out
 
 
-def random_structure_fn(rng: random.Random, dim: int, max_degree: int = 3) -> CoefFn:
-    """Real structure function: a random real polynomial."""
-    return random_polynomial(rng, dim, max_degree=max_degree)
+def random_structure_fn(rng: random.Random, dim: int) -> CoefFn:
+    """Real structure function: a random real polynomial of degree <= 3."""
+    return random_polynomial(rng, dim, max_degree=3)
 
 
 def random_diff_op(

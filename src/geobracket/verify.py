@@ -30,8 +30,8 @@ from .classical import StructureMatrix, dynamics_rhs, gpb, gspb
 from .functions import const, coord, one, zero
 from .operators import commutator, compose, mult
 from .quantum import (
+    Hamiltonian,
     Params,
-    custom,
     covariant_rhs,
     gdynamics,
     gen_heisenberg_rhs,
@@ -220,7 +220,7 @@ def check_ccr_suite(rng, max_dim) -> bool:
 def check_covariant_decomposition(rng, max_dim) -> bool:
     dim = _pick_dim(rng, max_dim)
     s = random_structure_fn(rng, dim)
-    h = custom(random_diff_op(rng, dim, max_terms=2))
+    h = Hamiltonian(random_diff_op(rng, dim, max_terms=2))
     f = random_diff_op(rng, dim, max_terms=2)
     w = gdynamics(s, h).w_op
     decomposed = gen_heisenberg_rhs(s, h, f) + compose(f, w)

@@ -16,11 +16,9 @@ from geobracket.errors import DimensionMismatch, NonRealStructureFunction
 from geobracket.functions import (
     const,
     coord,
-    cos_of,
     exponential,
     monomial,
     one,
-    sin_of,
     zero,
 )
 from geobracket.operators import (
@@ -40,34 +38,6 @@ from geobracket.verify import run_identity_suite, structure_bracket_scaling_hold
 I = ComplexRational(0, 1)
 
 EXP_IX = exponential(1, (I,))
-EXP_2IX = exponential(1, (ComplexRational(0, 2),))
-F_WAVE = mult(EXP_IX).scaled(-I) * partial_d(1)  # -i e^{ix} d/dx
-G_WAVE = mult(EXP_IX)
-
-
-def expected_wave_total(s):
-    """e^{2ix} (1 - i s')."""
-    return mult(EXP_2IX * (one(1) - s.diff(0).scaled(I)))
-
-
-@pytest.mark.parametrize(
-    "s",
-    [zero(1), coord(1, 0), monomial(1, (2,)), cos_of(1)],
-    ids=["zero", "x", "x^2", "cos"],
-)
-def test_exponential_pair_closed_form(s):
-    report = qcpb(s, F_WAVE, G_WAVE)
-    assert report.qpb_part == mult(EXP_2IX)
-    assert report.total == expected_wave_total(s)
-    assert report.total == report.qpb_part + report.geomutator_part
-
-
-def test_canonical_pair_closed_form():
-    s = monomial(1, (2,))
-    report = qcpb(s, partial_d(1), position(1))
-    expected = mult(one(1) + coord(1, 0) * s.diff(0))
-    assert report.total == expected
-    assert report.total(sin_of(1)) == (one(1) + coord(1, 0) * s.diff(0)) * sin_of(1)
 
 
 def test_self_bracket_vanishes():

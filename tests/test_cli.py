@@ -308,6 +308,13 @@ def test_bad_tolerance_or_pairs_is_a_usage_error(capsys, option, message):
     assert option.split("=")[0] in err and message in err
 
 
+@pytest.mark.parametrize("option", ["--hbar", "--m", "--omega"])
+def test_zero_denominator_constant_is_a_usage_error(capsys, option):
+    code, err = _usage_error(capsys, "oscillator", "--s", "0", f"{option}=1/0")
+    assert code == 2
+    assert f"{option}: not a rational number: '1/0'" in err
+
+
 def test_classical_pairs_sets_the_coordinate_count(capsys):
     argv = ["classical", "--s", "0", "--f", "x3", "--g", "x2", "--pairs", "1"]
     code, _, err = run_cli(capsys, *argv)
@@ -362,22 +369,52 @@ def test_classical_missing_structure_matrix_file_exits_2(tmp_path, capsys):
     assert err.startswith("invalid input: cannot read structure matrix file")
 
 
-def test_determinism_of_verify_across_processes():
-    command = [
-        sys.executable,
-        "-m",
-        "geobracket",
-        "verify",
-        "--trials",
-        "5",
-        "--seed",
-        "7",
-    ]
-    first = subprocess.run(command, capture_output=True)
-    second = subprocess.run(command, capture_output=True)
-    assert first.returncode == 0
-    assert first.stdout == second.stdout
-    assert first.stdout.decode().count("pass") >= 10
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bracket", "--s", "1/0", "--a", "d1", "--b", "x1"],
+         "parse error: zero denominator in '1/0' (line 1, column 1)"),
+        (["bracket", "--s", "0", "--a", "d1", "--b", "x1 + 3/0i"],
+         "parse error: zero denominator in '3/0i' (line 1, column 6)"),
+        (["grid-check", "--s", "1/0", "--a", "d1", "--b", "x1"],
+         "parse error: zero denominator in '1/0' (line 1, column 1)"),
+        (["classical", "--s", "2/0", "--f", "x1", "--g", "x2"],
+         "parse error: zero denominator in '2/0' (line 1, column 1)"),
+        (["grid-check", "--s", "0", "--a", "d1", "--b", "d1", "--psi", "0", "--n", "16"],
+         "invalid input: the state psi vanishes on every grid point"),
+        (["oscillator", "--s", "0", "--grid", "16", "--steps", "1", "--psi", "0"],
+         "invalid input: the state psi vanishes on every grid point"),
+    ],
+    ids=[
+        "zero-denominator-bracket",
+        "zero-denominator-imaginary",
+        "zero-denominator-grid-check",
+        "zero-denominator-classical",
+        "zero-psi-grid-check",
+        "zero-psi-oscillator",
+    ],
+)
+def test_outside_input_exits_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", message + "\n")
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ("5", "must hold a JSON list of rows"),
+        ("[1, 2]", "must hold a JSON list of rows"),
+        ('[["1/0"]]', "has an entry with a zero denominator"),
+    ],
+    ids=["number", "flat-list", "zero-denominator"],
+)
+def test_malformed_structure_matrix_file_exits_2(tmp_path, capsys, content, message):
+    path = tmp_path / "j.json"
+    path.write_text(content)
+    code, out, err = run_cli(
+        capsys, "classical", "--s", "x1", "--f", "x1", "--g", "x2", "--J", str(path)
+    )
+    assert (code, out, err) == (2, "", f"invalid input: structure matrix file {message}\n")
 
 
 def test_huge_exponent_finishes():

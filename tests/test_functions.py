@@ -1,7 +1,5 @@
 """Closure, ring axioms, and exact differentiation of coefficient functions."""
 
-from fractions import Fraction
-
 import pytest
 
 from geobracket.functions import (
@@ -96,19 +94,6 @@ def test_dimension_mismatch_raises():
 def test_diff_axis_out_of_range():
     with pytest.raises(IndexError):
         one(2).diff(2)
-
-
-def test_constant_views():
-    f = const(2, Fraction(5, 3))
-    assert f.is_constant
-    assert f.constant_value() == ComplexRational(Fraction(5, 3))
-    assert not coord(2, 1).is_constant
-
-
-def test_degree():
-    f = monomial(2, (2, 1)) + coord(2, 0)
-    assert f.degree == 3
-    assert zero(2).degree == 0
 
 
 def _random_triple(index, dim=2):

@@ -17,10 +17,8 @@ from geobracket.operators import (
     position,
 )
 from geobracket.quantum import (
+    Hamiltonian,
     Params,
-    covariant_rhs,
-    custom,
-    free_particle,
     gdynamics,
     gen_heisenberg_rhs,
     geomentum,
@@ -54,15 +52,6 @@ def test_oscillator_expansion():
         monomial(1, (2,), Fraction(6))
     )
     assert h.op == expected
-    assert h.kind == "harmonic_oscillator"
-
-
-def test_free_particle_expansion():
-    h = free_particle(Params(), dim=2)
-    expected = partial_d(2, 0, 2).scaled(Fraction(-1, 2)) + partial_d(2, 1, 2).scaled(
-        Fraction(-1, 2)
-    )
-    assert h.op == expected
 
 
 def test_flow_generator_vanishes_for_constant_structure():
@@ -81,64 +70,6 @@ def test_flow_generator_for_quadratic_structure():
     assert flow.geomenergy == flow.w_op.scaled(ComplexRational(0, 1))
 
 
-@pytest.mark.parametrize("index", range(10))
-def test_flow_generator_matches_momentum_form(index):
-    # w = (i/hbar) (mult(p^2 s) + 2 mult(p s) p) / (2 m) for the oscillator
-    rng = trial_rng(21, "w-form", index)
-    params = Params(hbar=Fraction(rng.randint(1, 3)), mass=Fraction(rng.randint(1, 3)))
-    s = random_structure_fn(rng, 1)
-    h = harmonic_oscillator(params)
-    p = momentum(1, hbar=params.hbar)
-    rebuilt = (
-        (mult(compose(p, p)(s)) + compose(mult(p(s)), p).scaled(2))
-        .scaled(ComplexRational(0, Fraction(1) / params.hbar))
-        .scaled(Fraction(1, 2) / params.mass)
-    )
-    assert gdynamics(s, h).w_op == rebuilt
-
-
-def test_position_rate_matches_momentum_over_mass():
-    params = Params(mass=Fraction(2))
-    h = harmonic_oscillator(params)
-    s = random_structure_fn(trial_rng(21, "x-rate", 0), 1)
-    rate = gen_heisenberg_rhs(s, h, position(1))
-    assert rate == momentum(1, hbar=params.hbar).scaled(Fraction(1, 2))
-
-
-def test_position_covariant_rate_adds_flow_term():
-    params = Params()
-    h = harmonic_oscillator(params)
-    s = monomial(1, (3,))
-    w = gdynamics(s, h).w_op
-    rate = covariant_rhs(s, h, position(1))
-    assert rate == momentum(1) + compose(position(1), w)
-
-
-def test_momentum_rate_closed_form():
-    params = Params(mass=Fraction(2), omega=Fraction(3))
-    h = harmonic_oscillator(params)
-    s = random_structure_fn(trial_rng(21, "p-rate", 0), 1)
-    rate = gen_heisenberg_rhs(s, h, momentum(1, hbar=params.hbar))
-    expected = mult(coord(1, 0)).scaled(
-        -params.mass * params.omega**2
-    ) - compose(h.op, mult(s.diff(0)))
-    assert rate == expected
-
-
-def test_hamiltonian_is_covariantly_conserved():
-    h = harmonic_oscillator(Params())
-    for index in range(5):
-        s = random_structure_fn(trial_rng(21, "conserved", index), 1)
-        assert covariant_rhs(s, h, h.op).is_zero
-
-
-def test_hamiltonian_plain_rate_is_minus_h_w():
-    h = harmonic_oscillator(Params())
-    s = random_structure_fn(trial_rng(21, "dh", 0), 1)
-    w = gdynamics(s, h).w_op
-    assert gen_heisenberg_rhs(s, h, h.op) == compose(h.op, w).scaled(-1)
-
-
 test_covariant_decomposition_random = catalogue_test(
     22, "decomp", 10, check_covariant_decomposition
 )
@@ -148,7 +79,7 @@ def test_equilibrium_characterization():
     # plain rate vanishes exactly when [f, H] = H [s, f]
     rng = trial_rng(22, "equilibrium", 0)
     s = random_structure_fn(rng, 1)
-    h = custom(random_diff_op(rng, 1))
+    h = Hamiltonian(random_diff_op(rng, 1))
     f = random_diff_op(rng, 1)
     lhs = commutator(f, h.op)
     rhs = compose(h.op, commutator(mult(s), f))
