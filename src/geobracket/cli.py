@@ -7,9 +7,12 @@ rate equations for the quadratic Hamiltonian, plus a grid evolution),
 (structural Poisson brackets).  Exit codes: 0 success, 2 parse error or
 invalid input (argparse usage errors included, such as a ``--dim``,
 ``--trials`` or ``--pairs`` below 1, or a ``grid-check --tol`` that is
-negative or not finite; also a rational with a zero denominator, a
+negative or not finite; also a rational with a zero denominator, an
+expression nested deeper than ``parsing.MAX_DEPTH`` (100) levels, a
 ``--J`` file that is not a JSON list of rows, and a ``--psi`` that
-vanishes on every grid point), 3 dimension error, 4 tolerance/verification failure,
+vanishes on every grid point or, for ``grid-check``, is not periodic under
+``spectral``; ``grid-check`` parses every expression and checks ``--psi``
+before it builds a matrix), 3 dimension error, 4 tolerance/verification failure,
 5 internal error (a bug).  Grid sizes (``grid-check --n``, ``oscillator
 --grid``) are powers of two from 16 to ``grid.MAX_POINTS`` (2048); any
 other size exits 2 before a matrix is allocated.
@@ -279,7 +282,9 @@ def cmd_grid_check(args) -> int:
     s = parse_function(args.s, dim=1)
     a = parse_operator(args.a, dim=1, structure_fn=s)
     b = parse_operator(args.b, dim=1, structure_fn=s)
+    psi = parse_function(args.psi, dim=1)
     spec = grid_mod.GridSpec(args.n, args.scheme)
+    grid_mod.comparison_state(psi, spec)  # refuse a bad state before matrix work
     if args.kind == "qpb":
         symbolic = commutator(a, b)
     elif args.kind == "geomutator":
@@ -287,7 +292,6 @@ def cmd_grid_check(args) -> int:
     else:
         symbolic = qcpb(s, a, b).total
     numeric = grid_mod.matrix_bracket(s, a, b, spec, args.kind)
-    psi = parse_function(args.psi, dim=1)
     report = grid_mod.compare(symbolic, numeric, psi, args.tol)
     lines = [
         f"symbolic {args.kind}: {symbolic}",

@@ -45,7 +45,9 @@ class TermMap:
 
     Invariants: no stored zero coefficients, unique keys, each checked by
     the subclass's ``_check_term``.  Values are immutable by convention;
-    every operation returns a new instance.
+    every operation returns a new instance.  ``+`` and ``-`` combine a term
+    map only with one of its own class; a scalar enters through ``scaled``
+    (or, for a ``CoefFn``, ``f * scalar``).
     """
 
     dim: int
@@ -78,32 +80,18 @@ class TermMap:
     # -- linear structure ----------------------------------------------------
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, type(self)):
             return NotImplemented
         self._check_dim(other)
         return self._wrap(self.dim, accumulate(dict(self.terms), other.terms.items()))
 
-    __radd__ = __add__
-
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, type(self)):
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __neg__(self):
         return self._wrap(self.dim, {k: -c for k, c in self.terms.items()})
-
-    def _coerce(self, other):
-        """``other`` as an instance of this class, or None if it is not one."""
-        return other if isinstance(other, type(self)) else None
 
     def _check_dim(self, other):
         if self.dim != other.dim:
@@ -134,13 +122,6 @@ class CoefFn(TermMap):
             raise ValueError("monomial exponents must be non-negative")
         return (tuple(nu), tuple(kappa))
 
-    def _coerce(self, other):
-        if isinstance(other, CoefFn):
-            return other
-        if isinstance(other, (int, Fraction, ComplexRational)):
-            return const(self.dim, other)
-        return None
-
     # -- ring operations ---------------------------------------------------
 
     def __mul__(self, other):
@@ -155,11 +136,6 @@ class CoefFn(TermMap):
             for (nu2, k2), c2 in other.terms.items()
         )
         return CoefFn._wrap(self.dim, accumulate({}, products))
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, ComplexRational)):
-            return self.scaled(other)
-        return NotImplemented
 
     def scaled(self, value) -> "CoefFn":
         value = ComplexRational.coerce(value)

@@ -14,7 +14,10 @@ coefficients; ``central2`` is the second-order central difference
 an ``n/8``-point band at each end of the domain seam.  A state ``psi``
 (``compare``, ``evolve``) must not vanish on every grid point, since
 expectations and relative residuals divide by its norm; such a state is
-rejected with ``ValueError``.
+rejected with ``ValueError``.  ``comparison_state`` applies ``compare``'s
+checks on its own, so a caller can refuse a bad state before building any
+matrix.  A flow (``evolve``) reports per-sample expectations and residuals
+and keeps only its final operator.
 
 Size budget: a grid has at most ``MAX_POINTS`` (2048) points, since every
 operator is a dense n x n complex matrix (64 MiB at the cap); larger sizes
@@ -38,7 +41,7 @@ sample's decomposition residual as the next RK4 step's first stage.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -196,6 +199,17 @@ def is_grid_periodic(f: CoefFn) -> bool:
     )
 
 
+def comparison_state(psi: CoefFn, spec: GridSpec) -> np.ndarray:
+    """Samples of the state ``compare`` tests with, refused (before any
+    matrix is built) when it is not periodic under ``spectral`` or vanishes
+    on every grid point."""
+    if spec.scheme == "spectral" and not is_grid_periodic(psi):
+        raise NonPeriodicCoefficient(
+            "spectral comparison requires a periodic test function"
+        )
+    return _state(psi, spec)
+
+
 @dataclass(frozen=True)
 class GridOp:
     """Dense matrix realization of an operator on a grid."""
@@ -345,12 +359,8 @@ def compare(
     largest Gram eigenvalue, rather than from an SVD.
     """
     spec = numeric.spec
-    if spec.scheme == "spectral" and not is_grid_periodic(psi):
-        raise NonPeriodicCoefficient(
-            "spectral comparison requires a periodic test function"
-        )
+    psi_vec = comparison_state(psi, spec)
     sym_mat = discretize(symbolic, spec).matrix
-    psi_vec = _state(psi, spec)
     band = spec.n_points // 8 if spec.scheme == "central2" else 0
     keep = slice(band, spec.n_points - band)
     sym_action = (sym_mat @ psi_vec)[keep]
@@ -384,17 +394,15 @@ class EvolutionResult:
 
     ``residuals`` holds, per sample, the relative Frobenius defect of the
     decomposition ``covariant rate - plain rate - F w``; it is a
-    self-consistency diagnostic and stays at rounding level.
+    self-consistency diagnostic and stays at rounding level.  Only the
+    final operator is kept (``final``), not one per sample: each is a dense
+    n x n matrix.
     """
 
-    times: list = field(default_factory=list)
-    expectations: list = field(default_factory=list)
-    residuals: list = field(default_factory=list)
-    operators: list = field(default_factory=list)
-
-    @property
-    def final(self) -> GridOp:
-        return self.operators[-1]
+    times: list
+    expectations: list
+    residuals: list
+    final: GridOp
 
     def csv_lines(self):
         """Rows ``t,re_expect,im_expect,residual`` at 17 significant digits."""
@@ -419,18 +427,17 @@ def evolve(
     spec: GridSpec,
     law: str = "generalized_heisenberg",
     hbar=1,
-    psi: CoefFn | None = None,
+    psi: CoefFn,
     n_samples: int = 101,
 ) -> EvolutionResult:
     """Integrate ``dF/dt = rate(F)`` with classic RK4, emitting samples.
 
     ``law`` selects the plain (``generalized_heisenberg``) or ``covariant``
     rate; expectation values ``<psi|F|psi> / <psi|psi>`` are recorded
-    against the supplied state (a uniform state when ``psi`` is omitted; a
-    ``psi`` that vanishes on every grid point raises ``ValueError``).
-    Each sample evaluates both rates, from their shared products, for its
-    decomposition residual, and the one ``law`` selects is the next step's
-    first RK4 stage.
+    against the state ``psi`` (one that vanishes on every grid point raises
+    ``ValueError``).  Each sample evaluates both rates, from their shared
+    products, for its decomposition residual, and the one ``law`` selects is
+    the next step's first RK4 stage.  Only the final operator is returned.
     """
     if law not in LAWS:
         raise ValueError(f"law must be one of {LAWS}")
@@ -439,10 +446,7 @@ def evolve(
     h_mat = discretize(hamiltonian, spec).matrix
     s_vec = sample(s, spec)
     f_mat = discretize(f0, spec).matrix.astype(complex)
-    if psi is None:
-        psi_vec = np.ones(spec.n_points, dtype=complex)
-    else:
-        psi_vec = _state(psi, spec)
+    psi_vec = _state(psi, spec)
     psi_norm2 = float(np.real(np.vdot(psi_vec, psi_vec)))
 
     is_covariant = law == "covariant"
@@ -474,7 +478,7 @@ def evolve(
     n_samples = max(2, min(n_samples, steps + 1))
     sample_steps = sorted({round(k * steps / (n_samples - 1)) for k in range(n_samples)})
 
-    result = EvolutionResult()
+    times, expectations, residuals = [], [], []
 
     def record(step_index, f):
         """Append a sample; return the rate of ``law`` at ``f``."""
@@ -483,10 +487,9 @@ def evolve(
         plain = plain_rate(*terms)
         defect = covariant - plain - f @ w_mat
         denom = max(1.0, float(np.linalg.norm(covariant)))
-        result.times.append(step_index * dt)
-        result.expectations.append(expectation(f))
-        result.residuals.append(float(np.linalg.norm(defect)) / denom)
-        result.operators.append(GridOp(f.copy(), spec))
+        times.append(step_index * dt)
+        expectations.append(expectation(f))
+        residuals.append(float(np.linalg.norm(defect)) / denom)
         return covariant if is_covariant else plain
 
     k1 = record(0, f_mat)
@@ -504,7 +507,7 @@ def evolve(
                     "reduce the step size or the operator order"
                 )
             k1 = record(step, f_mat) if step in sample_steps else None
-    return result
+    return EvolutionResult(times, expectations, residuals, GridOp(f_mat, spec))
 
 
 def is_hermitian(op: GridOp) -> bool:

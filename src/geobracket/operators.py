@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 
 from .errors import DimensionMismatch
 from .functions import CoefFn, TermMap, accumulate, const, coord, one, zero
@@ -62,16 +61,9 @@ class DiffOp(TermMap):
         return DiffOp._wrap(self.dim, {a: c.scaled(value) for a, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, DiffOp):
-            return compose(self, other)
-        if isinstance(other, (int, Fraction, ComplexRational)):
-            return self.scaled(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, ComplexRational)):
-            return self.scaled(other)
-        return NotImplemented
+        if not isinstance(other, DiffOp):
+            return NotImplemented
+        return compose(self, other)
 
     # -- action -------------------------------------------------------------
 
@@ -142,7 +134,6 @@ def position(dim: int, axis: int = 0) -> DiffOp:
 
 def momentum(dim: int, axis: int = 0, hbar=1) -> DiffOp:
     """The flat momentum operator ``-i hbar d_axis``."""
-    hbar = Fraction(hbar) if not isinstance(hbar, Fraction) else hbar
     return partial_d(dim, axis).scaled(ComplexRational(0, -hbar))
 
 

@@ -13,6 +13,12 @@ Scalars are rational literals with an optional immediate ``i`` suffix
 identifier ``i`` is the imaginary unit.
 Coordinates and derivatives are 1-based in text (``x1``, ``d1``) and map to
 0-based axes.  ``s`` names the structure function supplied by the caller.
+
+Nesting is bounded: each ``(``, ``exp(`` and ``^`` adds a level around
+what it encloses or raises, and an expression may nest at most
+``MAX_DEPTH`` (100) levels deep, so ``((x1))^2`` has depth 3.  Parsing,
+lowering and ``max_axis`` recurse once per level; a deeper input is an
+:class:`ExprSyntaxError` at the token that opens level ``MAX_DEPTH + 1``.
 """
 
 from __future__ import annotations
@@ -25,6 +31,9 @@ from .errors import DimensionMismatch, ExprSyntaxError
 from .functions import CoefFn, coord, exponential
 from .operators import DiffOp, compose, identity, mult, partial_d, scalar_op
 from .scalars import I, ComplexRational
+
+# Nesting budget: levels of ``(``, ``exp(`` and ``^`` (see the module docstring).
+MAX_DEPTH = 100
 
 # -- AST ----------------------------------------------------------------------
 
@@ -129,9 +138,15 @@ def _tokenize(text: str) -> list:
 
 
 class _Parser:
+    """Recursive descent; each rule returns ``(node, depth)``, where ``depth``
+    counts the levels nested inside the node.  ``open`` counts the levels
+    enclosing the current token, and ``open + depth`` never exceeds
+    ``MAX_DEPTH``."""
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.open = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -152,8 +167,16 @@ class _Parser:
             )
         return self.advance()
 
+    def check_depth(self, depth: int, token: _Token) -> None:
+        if self.open + depth > MAX_DEPTH:
+            raise ExprSyntaxError(
+                f"expression nested deeper than {MAX_DEPTH} levels",
+                token.line,
+                token.column,
+            )
+
     def parse(self) -> Node:
-        node = self.expr()
+        node, _ = self.expr()
         tail = self.peek()
         if tail.kind != "end":
             raise ExprSyntaxError(
@@ -161,30 +184,35 @@ class _Parser:
             )
         return node
 
-    def expr(self) -> Node:
+    def expr(self) -> tuple:
         addends = []
         negate_first = False
         if self.peek().kind in ("+", "-"):
             negate_first = self.advance().kind == "-"
-        first = self.term()
+        first, depth = self.term()
         addends.append(Negate(first) if negate_first else first)
         while self.peek().kind in ("+", "-"):
             negative = self.advance().kind == "-"
-            node = self.term()
+            node, node_depth = self.term()
             addends.append(Negate(node) if negative else node)
-        return addends[0] if len(addends) == 1 else Sum(tuple(addends))
+            depth = max(depth, node_depth)
+        return (addends[0] if len(addends) == 1 else Sum(tuple(addends))), depth
 
-    def term(self) -> Node:
-        factors = [self.factor()]
+    def term(self) -> tuple:
+        first, depth = self.factor()
+        factors = [first]
         while self.peek().kind == "*":
             self.advance()
-            factors.append(self.factor())
-        return factors[0] if len(factors) == 1 else Product(tuple(factors))
+            node, node_depth = self.factor()
+            factors.append(node)
+            depth = max(depth, node_depth)
+        return (factors[0] if len(factors) == 1 else Product(tuple(factors))), depth
 
-    def factor(self) -> Node:
-        node = self.primary()
+    def factor(self) -> tuple:
+        node, depth = self.primary()
         while self.peek().kind == "^":
-            self.advance()
+            depth += 1
+            self.check_depth(depth, self.advance())
             token = self.expect("number")
             if not token.text.isdigit():
                 raise ExprSyntaxError(
@@ -193,18 +221,25 @@ class _Parser:
                     token.column,
                 )
             node = Power(node, int(token.text))
-        return node
+        return node, depth
 
-    def primary(self) -> Node:
+    def group(self, opener: _Token) -> tuple:
+        """``'(' expr ')'`` after ``opener``, one level deeper."""
+        self.expect("(")
+        self.open += 1
+        self.check_depth(0, opener)
+        node, depth = self.expr()
+        self.expect(")")
+        self.open -= 1
+        return node, depth + 1
+
+    def primary(self) -> tuple:
         token = self.peek()
         if token.kind == "number":
             self.advance()
-            return Scalar(_scalar_literal(token))
+            return Scalar(_scalar_literal(token)), 0
         if token.kind == "(":
-            self.advance()
-            node = self.expr()
-            self.expect(")")
-            return node
+            return self.group(token)
         if token.kind == "ident":
             return self.identifier()
         raise ExprSyntaxError(
@@ -214,25 +249,23 @@ class _Parser:
             expected=("number", "identifier", "("),
         )
 
-    def identifier(self) -> Node:
+    def identifier(self) -> tuple:
         token = self.advance()
         name, digits = _IDENT_RE.match(token.text).groups()
         if name == "i" and not digits:
-            return Scalar(I)
+            return Scalar(I), 0
         if name == "s" and not digits:
-            return Preset("s")
+            return Preset("s"), 0
         if name == "exp" and not digits:
-            self.expect("(")
-            argument = self.expr()
-            self.expect(")")
-            return Exp(argument)
+            argument, depth = self.group(token)
+            return Exp(argument), depth
         if name in ("x", "d") and digits:
             index = int(digits)
             if index < 1:
                 raise ExprSyntaxError(
                     "coordinate indices are 1-based", token.line, token.column
                 )
-            return Coord(index - 1) if name == "x" else Diff(index - 1)
+            return (Coord(index - 1) if name == "x" else Diff(index - 1)), 0
         raise ExprSyntaxError(
             f"unknown identifier {token.text!r}", token.line, token.column
         )

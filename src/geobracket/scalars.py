@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from numbers import Rational
 
 
 def as_fraction(value) -> Fraction:
@@ -26,8 +25,6 @@ def as_fraction(value) -> Fraction:
         return value
     if isinstance(value, (int, str)):
         return Fraction(value)
-    if isinstance(value, Rational):
-        return Fraction(value.numerator, value.denominator)
     raise TypeError(f"expected a rational value, got {type(value).__name__}")
 
 
@@ -35,7 +32,8 @@ class ComplexRational:
     """A complex number with exact rational real and imaginary parts.
 
     Immutable; the triple ``(a, b, d)`` is canonical, so equality is
-    structural.
+    structural.  Arithmetic takes another ``ComplexRational`` or an ``int``;
+    a ``Fraction`` enters through ``ComplexRational(re, im)`` or ``coerce``.
     """
 
     __slots__ = ("_a", "_b", "_d")
@@ -144,10 +142,6 @@ class ComplexRational:
     # -- predicates and views ---------------------------------------------
 
     @property
-    def is_zero(self) -> bool:
-        return not (self._a or self._b)
-
-    @property
     def is_real(self) -> bool:
         return not self._b
 
@@ -196,8 +190,6 @@ def _coerce_or_none(value):
         return value
     if value.__class__ is int:
         return _make(value, 0, 1)
-    if isinstance(value, (int, Fraction, Rational)):
-        return ComplexRational(as_fraction(value))
     return None
 
 

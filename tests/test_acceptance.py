@@ -410,12 +410,16 @@ def test_criterion_8_dynamics_reduction():
     # s = 0: the decomposition defect is exactly 0
     ok = error <= 1e-6 and max(result.residuals) == 0.0
 
-    # covariant flow of the Hamiltonian itself is frozen at rounding level
+    # covariant flow of the Hamiltonian itself is frozen at rounding level:
+    # F ends at h bitwise, and every sample reads the values of F = h
     covariant = evolve(
-        cos_of(1), h_op, h_op, t_final=1.0, steps=200, spec=spec, law="covariant"
+        cos_of(1), h_op, h_op, t_final=1.0, steps=200, spec=spec, law="covariant",
+        psi=one(1),
     )
-    frozen = all(
-        np.array_equal(op.matrix, h.astype(complex)) for op in covariant.operators
+    frozen = (
+        np.array_equal(covariant.final.matrix, h.astype(complex))
+        and covariant.expectations == [covariant.expectations[0]] * 101
+        and covariant.residuals == [covariant.residuals[0]] * 101
     )
     scale = -1j
     s_mat = np.diag(sample(cos_of(1), spec))

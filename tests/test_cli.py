@@ -384,6 +384,12 @@ def test_classical_missing_structure_matrix_file_exits_2(tmp_path, capsys):
          "invalid input: the state psi vanishes on every grid point"),
         (["oscillator", "--s", "0", "--grid", "16", "--steps", "1", "--psi", "0"],
          "invalid input: the state psi vanishes on every grid point"),
+        (["bracket", "--s", "0", "--a", "(" * 300 + "x1" + ")" * 300, "--b", "d1"],
+         "parse error: expression nested deeper than 100 levels (line 1, column 101)"),
+        (["bracket", "--s", "0", "--a", "exp(" * 200 + "x1" + ")" * 200, "--b", "d1"],
+         "parse error: expression nested deeper than 100 levels (line 1, column 401)"),
+        (["bracket", "--s", "0", "--a", "x1" + "^1" * 1200, "--b", "d1"],
+         "parse error: expression nested deeper than 100 levels (line 1, column 203)"),
     ],
     ids=[
         "zero-denominator-bracket",
@@ -392,10 +398,38 @@ def test_classical_missing_structure_matrix_file_exits_2(tmp_path, capsys):
         "zero-denominator-classical",
         "zero-psi-grid-check",
         "zero-psi-oscillator",
+        "nested-parentheses",
+        "nested-exp",
+        "power-chain",
     ],
 )
 def test_outside_input_exits_2(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", message + "\n")
+
+
+@pytest.mark.parametrize(
+    "psi, message",
+    [
+        ("((", "parse error: unexpected end of input (line 1, column 3); "
+               "expected one of: number, identifier, ("),
+        ("x1", "invalid input: spectral comparison requires a periodic test function"),
+        ("0", "invalid input: the state psi vanishes on every grid point"),
+    ],
+    ids=["syntax", "non-periodic", "zero"],
+)
+def test_grid_check_refuses_bad_psi_before_matrix_work(capsys, monkeypatch, psi, message):
+    from geobracket import grid
+
+    def no_matrix_work(*args, **kwargs):
+        pytest.fail("a matrix was built before --psi was checked")
+
+    monkeypatch.setattr(grid, "matrix_bracket", no_matrix_work)
+    monkeypatch.setattr(grid, "discretize", no_matrix_work)
+    code, out, err = run_cli(
+        capsys, "grid-check", "--s", "exp(i*x1) + exp(-i*x1)", "--a", "d1^2",
+        "--b", "exp(i*x1)", "--n", "2048", "--psi", psi,
+    )
     assert (code, out, err) == (2, "", message + "\n")
 
 

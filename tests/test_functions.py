@@ -144,7 +144,7 @@ def _coef_fn_case():
     return (
         {_CONST_KEY: ComplexRational(), _X_KEY: ComplexRational(3)},
         {_X_KEY: ComplexRational(3)},
-        _x() + 2,
+        _x() + const(1, 2),
     )
 
 
@@ -167,12 +167,19 @@ def test_term_map_kernel(cls, case):
     assert difference.is_zero
     assert bool(x) is True
     assert -(-x) == x
+    # A term map adds only to its own kind; a scalar multiplies a function
+    # from the right only, and an operator through ``scaled`` only.
+    with pytest.raises(TypeError):
+        x + 1
+    with pytest.raises(TypeError):
+        1 - x
+    with pytest.raises(TypeError):
+        2 * x
     if cls is CoefFn:
-        assert x + 1 == x + const(1, 1)
-        assert 1 - x == const(1, 1) - x
+        assert x * 2 == x.scaled(2)
     else:
         with pytest.raises(TypeError):
-            x + 1
+            x * 2
         with pytest.raises(TypeError):
             x + _x()
         with pytest.raises(TypeError):

@@ -1,5 +1,6 @@
 """Matrix oracle: discretization, bracket recomputation, and flows."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -198,10 +199,32 @@ def test_covariant_evolution_of_hamiltonian_is_frozen():
         steps=100,
         spec=spec,
         law="covariant",
+        psi=one(1),
     )
     h = discretize(h_op, spec).matrix
     assert np.array_equal(result.final.matrix, h.astype(complex))
+    # F is h at every sample, so every sample reads the same values bitwise.
+    assert result.expectations == [result.expectations[0]] * 101
+    assert result.residuals == [result.residuals[0]] * 101
     assert max(result.residuals) <= 1e-12
+
+
+def test_evolve_keeps_no_per_sample_matrices():
+    """A flow holds O(1) dense matrices, not one per sample: at n = 64 a
+    per-sample copy is 64 KiB, so 101 samples would add 6.5 MiB."""
+    spec = GridSpec(64)
+    h_op = _kinetic_plus_cosine()
+    tracemalloc.start()
+    try:
+        result = evolve(
+            cos_of(1), h_op, mult(cos_of(1)), t_final=0.1, steps=100, spec=spec,
+            psi=E_IX, n_samples=101,
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result.times) == 101
+    assert peak < 3 * 2**20, peak
 
 
 def test_decomposition_residual_stays_at_rounding_level():
@@ -230,7 +253,9 @@ def test_rk4_is_fourth_order():
     exact = u.conj().T @ f_start @ u
     errors = []
     for steps in (200, 400):
-        result = evolve(zero(1), h_op, f0, t_final=1.0, steps=steps, spec=spec)
+        result = evolve(
+            zero(1), h_op, f0, t_final=1.0, steps=steps, spec=spec, psi=one(1)
+        )
         errors.append(np.linalg.norm(result.final.matrix - exact))
     factor = errors[0] / errors[1]
     assert 12.0 <= factor <= 20.0
@@ -241,7 +266,10 @@ def test_evolution_divergence_aborts():
     spec = GridSpec(64)
     h_op = partial_d(1, 0, 2).scaled(Fraction(-1, 2))
     with pytest.raises(EvolutionDiverged):
-        evolve(zero(1), h_op, mult(cos_of(1)), t_final=500.0, steps=60, spec=spec)
+        evolve(
+            zero(1), h_op, mult(cos_of(1)), t_final=500.0, steps=60, spec=spec,
+            psi=one(1),
+        )
 
 
 def test_csv_format():
@@ -525,13 +553,12 @@ def _reference_evolve(s, hamiltonian, f0, *, t_final, steps, spec, law, psi, n_s
     dt = t_final / steps
     n_samples = max(2, min(n_samples, steps + 1))
     sample_steps = sorted({round(k * steps / (n_samples - 1)) for k in range(n_samples)})
-    times, expectations, residuals, operators = [], [], [], []
+    times, expectations, residuals = [], [], []
 
     def record(step_index, f):
         times.append(step_index * dt)
         expectations.append(complex(np.vdot(psi_vec, f @ psi_vec)) / psi_norm2)
         residuals.append(decomposition_residual(f))
-        operators.append(f.copy())
 
     record(0, f_mat)
     for step in range(1, steps + 1):
@@ -542,7 +569,7 @@ def _reference_evolve(s, hamiltonian, f0, *, t_final, steps, spec, law, psi, n_s
         f_mat = f_mat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if step in sample_steps:
             record(step, f_mat)
-    return times, expectations, residuals, operators
+    return times, expectations, residuals, f_mat
 
 
 def _flow_scenario(scheme):
@@ -567,13 +594,11 @@ def test_evolve_is_bitwise_equal_to_reference_loop(law, scheme, steps, n_samples
         t_final=0.3, steps=steps, spec=spec, law=law, psi=E_IX, n_samples=n_samples
     )
     result = evolve(s, h_op, f0, **kwargs)
-    times, expectations, residuals, operators = _reference_evolve(s, h_op, f0, **kwargs)
+    times, expectations, residuals, final = _reference_evolve(s, h_op, f0, **kwargs)
     assert len(times) == n_samples < steps + 1  # samples skip steps
     assert result.times == times
     assert result.expectations == expectations
     assert result.residuals == residuals
     assert max(residuals) > 0.0  # nonzero s: the residual is not trivially 0
-    assert len(result.operators) == len(operators)
-    for op, reference in zip(result.operators, operators):
-        assert op.matrix.dtype == reference.dtype
-        assert op.matrix.tobytes() == reference.tobytes()
+    assert result.final.matrix.dtype == final.dtype
+    assert result.final.matrix.tobytes() == final.tobytes()

@@ -15,6 +15,7 @@ from geobracket.operators import (
     scalar_op,
 )
 from geobracket.parsing import (
+    MAX_DEPTH,
     Scalar,
     parse,
     parse_function,
@@ -125,6 +126,22 @@ def test_syntax_error_positions():
     with pytest.raises(ExprSyntaxError) as excinfo:
         parse("x1 + * 2")
     assert excinfo.value.column == 6
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(" * MAX_DEPTH + "x1" + ")" * MAX_DEPTH,
+        "x1" + "^1" * MAX_DEPTH,
+        "(" * (MAX_DEPTH // 2) + "x1" + ")^1" * (MAX_DEPTH // 2),
+    ],
+    ids=["parentheses", "powers", "parenthesized-powers"],
+)
+def test_nesting_at_the_limit_parses_and_one_more_level_does_not(text):
+    assert parse_operator(text) == position(1)
+    for deeper in ("(" + text + ")", text + "^1"):
+        with pytest.raises(ExprSyntaxError, match=f"nested deeper than {MAX_DEPTH} levels"):
+            parse(deeper)
 
 
 def test_parse_function_rejects_derivatives():

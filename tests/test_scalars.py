@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from geobracket.scalars import ComplexRational, format_scalar, scalar_needs_parens
+from geobracket.scalars import ONE, ComplexRational, format_scalar, scalar_needs_parens
 
 rationals = st.fractions(
     min_value=-20, max_value=20, max_denominator=12
@@ -36,12 +36,12 @@ def test_multiplication_associates(a, b, c):
 
 @given(scalars)
 def test_additive_inverse(a):
-    assert (a + (-a)).is_zero
+    assert not (a + (-a))
 
 
 @given(scalars)
 def test_division_inverts_multiplication(a):
-    if not a.is_zero:
+    if a:
         assert (a / a) == ComplexRational(1)
 
 
@@ -76,6 +76,10 @@ def test_mixed_python_numbers():
     assert half + 1 == ComplexRational(Fraction(3, 2))
     assert 2 * half == ComplexRational(1)
     assert 1 - half == half
+    # ints are the only foreign operands: Fractions go through coerce
+    with pytest.raises(TypeError):
+        ONE + Fraction(1, 2)
+    assert ONE + ComplexRational.coerce(Fraction(1, 2)) == ComplexRational(Fraction(3, 2))
 
 
 def test_division_by_zero_raises():
@@ -214,7 +218,7 @@ def test_views_match_fraction_pairs(x):
     assert repr(z) == f"ComplexRational({x[0]!r}, {x[1]!r})"
     assert str(z) == _ref_str(x)
     assert z.sort_key() == x
-    assert z.is_zero == (x == (0, 0)) == (not z)
+    assert (not z) == (x == (0, 0))
     assert z.is_real == (x[1] == 0)
     value, reference = z.to_complex(), complex(x[0]) + 1j * complex(x[1])
     assert value.real.hex() == reference.real.hex()
