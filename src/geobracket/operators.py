@@ -30,9 +30,14 @@ def _multi_binom(alpha, beta) -> int:
     return math.prod(math.comb(a, b) for a, b in zip(alpha, beta))
 
 
-def _sub_indices(alpha):
-    """All multi-indices beta with beta <= alpha componentwise."""
-    return itertools.product(*(range(a + 1) for a in alpha))
+def _derivative_caps(fn: CoefFn):
+    """Per axis ``j``, the order past which ``d_j`` annihilates ``fn``: the
+    largest ``nu_j``, or infinity when some term has ``kappa_j != 0``."""
+    caps = [0] * fn.dim
+    for nu, kappa in fn.terms:
+        for j, k in enumerate(kappa):
+            caps[j] = math.inf if k else max(caps[j], nu[j])
+    return caps
 
 
 class DiffOp(TermMap):
@@ -168,10 +173,13 @@ def _derivatives(fn: CoefFn):
 def _leibniz_terms(a: DiffOp, beta, cb: CoefFn):
     """Terms of ``a (cb d^beta)`` by the Leibniz rule: for each ``alpha`` of
     ``a`` and ``gamma <= alpha``, ``binom(alpha, gamma) c_alpha (d^gamma cb)``
-    at ``d^(alpha - gamma + beta)``."""
+    at ``d^(alpha - gamma + beta)``.  ``gamma`` stops at the derivative caps
+    of ``cb``, so a high power ``d^alpha`` costs what ``cb`` needs."""
     deriv_of = _derivatives(cb)
+    caps = _derivative_caps(cb)
     for alpha, ca in a.terms.items():
-        for gamma in _sub_indices(alpha):
+        ranges = [range(min(al, cap) + 1) for al, cap in zip(alpha, caps)]
+        for gamma in itertools.product(*ranges):
             deriv = deriv_of(gamma)
             if deriv.is_zero:
                 continue

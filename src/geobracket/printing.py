@@ -48,13 +48,17 @@ def _linear_form(kappa) -> str:
     return _join_signed(addends)
 
 
+def _power_factors(letter: str, powers) -> list:
+    """``x1^2``-style factors for the nonzero entries of a multi-index."""
+    return [
+        f"{letter}{axis + 1}" if power == 1 else f"{letter}{axis + 1}^{power}"
+        for axis, power in enumerate(powers)
+        if power
+    ]
+
+
 def _term_body(nu, kappa) -> list:
-    factors = []
-    for axis, power in enumerate(nu):
-        if power == 0:
-            continue
-        name = f"x{axis + 1}"
-        factors.append(name if power == 1 else f"{name}^{power}")
+    factors = _power_factors("x", nu)
     if any(kappa):
         factors.append(f"exp({_linear_form(kappa)})")
     return factors
@@ -93,23 +97,15 @@ def _is_single_product(f: CoefFn) -> bool:
     return not scalar_needs_parens(coeff)
 
 
-def _derivative_body(alpha) -> str:
-    factors = []
-    for axis, power in enumerate(alpha):
-        if power == 0:
-            continue
-        name = f"d{axis + 1}"
-        factors.append(name if power == 1 else f"{name}^{power}")
-    return "*".join(factors)
-
-
 def format_diff_op(op) -> str:
     if op.is_zero:
         return "0"
     terms = op.sorted_terms()
+    unit = one(op.dim)
+    minus_unit = -unit
     addends = []
     for alpha, coeff in terms:
-        dpart = _derivative_body(alpha)
+        dpart = "*".join(_power_factors("d", alpha))
         if not dpart:
             if len(terms) == 1:
                 return format_coef_fn(coeff)
@@ -118,9 +114,9 @@ def format_diff_op(op) -> str:
             else:
                 addends.append(f"({format_coef_fn(coeff)})")
             continue
-        if coeff == one(op.dim):
+        if coeff == unit:
             addends.append(dpart)
-        elif coeff == -one(op.dim):
+        elif coeff == minus_unit:
             addends.append(f"-{dpart}")
         elif _is_single_product(coeff):
             addends.append(f"{format_coef_fn(coeff)}*{dpart}")

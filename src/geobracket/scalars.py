@@ -4,11 +4,11 @@ Every symbolic coefficient in the package is a :class:`ComplexRational`, so
 identities can be checked by structural equality instead of floating-point
 closeness.
 
-A value is stored as three ints ``(a, b, d)`` meaning ``(a + b i) / d``: a
+A value is the tuple ``(a, b, d)`` meaning ``(a + b i) / d``: a
 Gaussian-integer numerator over one positive denominator, kept in lowest
 terms (``gcd(a, b, d) == 1``), the layout of FLINT's ``fmpq_poly`` applied
 to a single scalar.  Arithmetic works on the ints and normalizes once per
-operation, so equality and hashing compare the triple.  The real and
+operation, so tuple equality and hashing are structural.  The real and
 imaginary parts are available as :class:`~fractions.Fraction` views for
 printing, parsing and ordering.
 """
@@ -28,45 +28,40 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"expected a rational value, got {type(value).__name__}")
 
 
-class ComplexRational:
+class ComplexRational(tuple):
     """A complex number with exact rational real and imaginary parts.
 
-    Immutable; the triple ``(a, b, d)`` is canonical, so equality is
-    structural.  Arithmetic takes another ``ComplexRational`` or an ``int``;
-    a ``Fraction`` enters through ``ComplexRational(re, im)`` or ``coerce``.
+    The value is the canonical triple ``(a, b, d)`` itself, so tuple
+    equality and hashing are structural.  Values are unordered: sort by
+    ``sort_key()``.  Arithmetic takes another ``ComplexRational`` or an
+    ``int``; a ``Fraction`` enters through ``ComplexRational(re, im)`` or
+    ``coerce``.
     """
 
-    __slots__ = ("_a", "_b", "_d")
+    __slots__ = ()
 
-    def __init__(self, re=0, im=0):
+    def __new__(cls, re=0, im=0):
         if type(re) is int and type(im) is int:
-            self._a, self._b, self._d = re, im, 1
-            return
+            return _new(cls, (re, im, 1))
         re = as_fraction(re)
         im = as_fraction(im)
         d_re, d_im = re.denominator, im.denominator
         # Both parts are reduced, so scaling to the lcm of their
         # denominators leaves gcd(a, b, d) == 1.
         d = d_re * d_im // gcd(d_re, d_im)
-        self._a = re.numerator * (d // d_re)
-        self._b = im.numerator * (d // d_im)
-        self._d = d
+        return _new(cls, (re.numerator * (d // d_re), im.numerator * (d // d_im), d))
+
+    def __getnewargs__(self):
+        # tuple's default would hand ``__new__`` the whole triple as ``re``.
+        return (self.re, self.im)
 
     @property
     def re(self) -> Fraction:
-        return Fraction(self._a, self._d)
+        return Fraction(self[0], self[2])
 
     @property
     def im(self) -> Fraction:
-        return Fraction(self._b, self._d)
-
-    def __eq__(self, other):
-        if other.__class__ is not ComplexRational:
-            return NotImplemented
-        return self._a == other._a and self._b == other._b and self._d == other._d
-
-    def __hash__(self):
-        return hash((self._a, self._b, self._d))
+        return Fraction(self[1], self[2])
 
     @staticmethod
     def coerce(value) -> "ComplexRational":
@@ -80,8 +75,8 @@ class ComplexRational:
         other = _coerce_or_none(other)
         if other is None:
             return NotImplemented
-        a1, b1, d1 = self._a, self._b, self._d
-        a2, b2, d2 = other._a, other._b, other._d
+        a1, b1, d1 = self
+        a2, b2, d2 = other
         if not (a2 or b2):
             return self
         if not (a1 or b1):
@@ -96,8 +91,8 @@ class ComplexRational:
         other = _coerce_or_none(other)
         if other is None:
             return NotImplemented
-        a1, b1, d1 = self._a, self._b, self._d
-        a2, b2, d2 = other._a, other._b, other._d
+        a1, b1, d1 = self
+        a2, b2, d2 = other
         if d1 == d2:
             return _normalized(a1 - a2, b1 - b2, d1)
         return _normalized(a1 * d2 - a2 * d1, b1 * d2 - b2 * d1, d1 * d2)
@@ -112,10 +107,9 @@ class ComplexRational:
         other = _coerce_or_none(other)
         if other is None:
             return NotImplemented
-        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
-        return _normalized(
-            a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self._d * other._d
-        )
+        a1, b1, d1 = self
+        a2, b2, d2 = other
+        return _normalized(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
 
     __rmul__ = __mul__
 
@@ -123,30 +117,33 @@ class ComplexRational:
         other = _coerce_or_none(other)
         if other is None:
             return NotImplemented
-        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        a1, b1, d1 = self
+        a2, b2, d2 = other
         norm = a2 * a2 + b2 * b2
         if norm == 0:
             raise ZeroDivisionError("division by zero ComplexRational")
         # (a1 + b1 i)/d1 * d2 (a2 - b2 i) / (a2^2 + b2^2)
-        d2 = other._d
-        return _normalized(
-            (a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2, self._d * norm
-        )
+        return _normalized((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2, d1 * norm)
 
     def __neg__(self):
-        return _make(-self._a, -self._b, self._d)
+        return _new(ComplexRational, (-self[0], -self[1], self[2]))
 
     def conjugate(self) -> "ComplexRational":
-        return _make(self._a, -self._b, self._d)
+        return _new(ComplexRational, (self[0], -self[1], self[2]))
 
     # -- predicates and views ---------------------------------------------
 
     @property
     def is_real(self) -> bool:
-        return not self._b
+        return not self[1]
 
     def __bool__(self) -> bool:
-        return bool(self._a or self._b)
+        return bool(self[0] or self[1])
+
+    def _unordered(self, other):
+        raise TypeError("ComplexRational values are unordered; compare sort_key()")
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
     def sort_key(self):
         return (self.re, self.im)
@@ -161,14 +158,7 @@ class ComplexRational:
         return f"ComplexRational({self.re!r}, {self.im!r})"
 
 
-_new = object.__new__
-
-
-def _make(a: int, b: int, d: int) -> ComplexRational:
-    """Internal constructor for a triple already in lowest terms."""
-    out = _new(ComplexRational)
-    out._a, out._b, out._d = a, b, d
-    return out
+_new = tuple.__new__
 
 
 def _normalized(a: int, b: int, d: int) -> ComplexRational:
@@ -177,7 +167,7 @@ def _normalized(a: int, b: int, d: int) -> ComplexRational:
         g = gcd(a, b, d)
         if g != 1:
             a, b, d = a // g, b // g, d // g
-    return _make(a, b, d)
+    return _new(ComplexRational, (a, b, d))
 
 
 ZERO = ComplexRational()
@@ -189,7 +179,7 @@ def _coerce_or_none(value):
     if value.__class__ is ComplexRational:
         return value
     if value.__class__ is int:
-        return _make(value, 0, 1)
+        return _new(ComplexRational, (value, 0, 1))
     return None
 
 
@@ -206,7 +196,7 @@ def format_scalar(z: ComplexRational) -> str:
     if z.is_real:
         return str(z.re)
     im = z.im
-    if not z._a:
+    if not z[0]:
         return _imag_str(im)
     sign = "+" if im > 0 else "-"
     return f"{z.re} {sign} {_imag_str(abs(im))}"
@@ -214,4 +204,4 @@ def format_scalar(z: ComplexRational) -> str:
 
 def scalar_needs_parens(z: ComplexRational) -> bool:
     """True when the rendering is a sum, so factor positions need parens."""
-    return bool(z._a and z._b)
+    return bool(z[0] and z[1])

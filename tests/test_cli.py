@@ -451,7 +451,7 @@ def test_malformed_structure_matrix_file_exits_2(tmp_path, capsys, content, mess
     assert (code, out, err) == (2, "", f"invalid input: structure matrix file {message}\n")
 
 
-def test_huge_exponent_finishes():
+def test_huge_exponent_finishes(capsys):
     # ``^k`` lowers by repeated squaring, so k = 99999999 costs a few dozen
     # compositions; expanding it term by term would not finish.
     command = [
@@ -461,3 +461,11 @@ def test_huge_exponent_finishes():
     result = subprocess.run(command, capture_output=True, timeout=60)
     assert result.returncode == 0
     assert "total:           1 + 99999999*x1^99999999" in result.stdout.decode()
+    # The Leibniz rule stops at the derivative order that annihilates the
+    # coefficient, so a high derivative power costs no more than a high
+    # monomial power.
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "bracket", "--s", "0", "--a", "d1^1000000", "--b", "x1")
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert "total:           1000000*d1^999999" in out

@@ -1,11 +1,15 @@
 """Field arithmetic and rendering of exact complex rationals."""
 
+import copy
 import operator
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from geobracket.functions import coord, exponential
+from geobracket.operators import mult, partial_d
 from geobracket.scalars import ONE, ComplexRational, format_scalar, scalar_needs_parens
 
 rationals = st.fractions(
@@ -231,3 +235,40 @@ def test_attribute_assignment_raises():
         with pytest.raises(AttributeError):
             setattr(z, name, Fraction(3))
     assert z == ComplexRational(1, 2)
+
+
+def test_values_are_unordered():
+    z, w = ComplexRational(1), ComplexRational(Fraction(1, 2), 3)
+    for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(TypeError):
+            compare(z, w)
+    with pytest.raises(TypeError):
+        sorted([z, w])
+    assert sorted([z, w], key=ComplexRational.sort_key) == [w, z]
+
+
+_SAMPLE = ComplexRational(Fraction(-1, 2), Fraction(3, 4))
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        _SAMPLE,
+        ComplexRational(),
+        (coord(2, 0) * exponential(2, [_SAMPLE, 0])).scaled(_SAMPLE),
+        partial_d(2, 1, 3).scaled(_SAMPLE) + partial_d(2, 0) * mult(coord(2, 1) * exponential(2, [0, 1])),
+    ],
+    ids=["scalar", "zero", "function", "operator"],
+)
+@pytest.mark.parametrize(
+    "round_trip",
+    [copy.copy, copy.deepcopy] + [
+        lambda value, protocol=protocol: pickle.loads(pickle.dumps(value, protocol))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    ],
+    ids=["copy", "deepcopy"] + [f"pickle{p}" for p in range(pickle.HIGHEST_PROTOCOL + 1)],
+)
+def test_copy_and_pickle_round_trip(value, round_trip):
+    again = round_trip(value)
+    assert type(again) is type(value)
+    assert again == value and str(again) == str(value)
