@@ -13,16 +13,27 @@ expression nested deeper than ``parsing.MAX_DEPTH`` (100) levels, a
 vanishes on every grid point or, for ``grid-check``, is not periodic under
 ``spectral``; ``grid-check`` parses every expression and checks ``--psi``
 before it builds a matrix), 3 dimension error, 4 tolerance/verification failure,
-5 internal error (a bug).  Grid sizes (``grid-check --n``, ``oscillator
---grid``) are powers of two from 16 to ``grid.MAX_POINTS`` (2048); any
-other size exits 2 before a matrix is allocated.
+5 internal error (a bug).  A closed stdout (the reader of a pipe exited
+early, as in ``geobracket verify --json | head``) is not an error: the
+command stops writing and exits 0 with nothing on stderr.  Grid sizes
+(``grid-check --n``, ``oscillator --grid``) are powers of two from 16 to
+``grid.MAX_POINTS`` (2048); any other size exits 2 before a matrix is
+allocated.
+
+``main(argv)`` may be called repeatedly in one process.  The first call
+builds the ``argparse`` parser and every later call reuses it; nothing
+changes the parser once it is built, so one call leaves no state behind
+for the next.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import io
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -377,11 +388,33 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
+def _silence_stdout() -> None:
+    """Point a real stdout at the null device, so the exit-time flush succeeds."""
     try:
-        return _COMMANDS[args.command](args)
+        fd = sys.stdout.fileno()
+    except io.UnsupportedOperation:
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
+    try:
+        code = _COMMANDS[args.command](args)
+        # Flush here so a closed pipe surfaces as BrokenPipeError below,
+        # not at interpreter exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        _silence_stdout()
+        return 0
     except ExprSyntaxError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -146,6 +146,11 @@ class ComplexRational(tuple):
     __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
     def sort_key(self):
+        # ints compare with Fractions by value, so the integer pair orders
+        # exactly as the Fraction views would, without building them.
+        a, b, d = self
+        if d == 1:
+            return (a, b)
         return (self.re, self.im)
 
     def to_complex(self) -> complex:

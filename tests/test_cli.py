@@ -1,6 +1,7 @@
 """Command-line surface: outputs, JSON mirrors, and exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -9,7 +10,7 @@ import tracemalloc
 import pytest
 
 from geobracket import cli
-from geobracket.cli import main
+from geobracket.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -469,3 +470,83 @@ def test_huge_exponent_finishes(capsys):
     assert time.perf_counter() - start < 1
     assert code == 0
     assert "total:           1000000*d1^999999" in out
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--seed", "7", "--trials", "2", "--json"],
+        ["bracket", "--s", "0", "--a", "x1", "--b", "d1"],
+    ],
+    ids=["verify-json", "bracket"],
+)
+def test_closed_stdout_exits_0_silently(argv, unbuffered):
+    # The read end is closed before the child starts, so every write the
+    # child makes meets a closed pipe: inside a print when stdout is
+    # unbuffered, at the flush after the command when it is buffered.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "geobracket", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    err = result.stderr.decode()
+    assert result.returncode == 0, err
+    assert "internal error" not in err
+    assert "Exception ignored" not in err
+
+
+@pytest.fixture
+def fresh_parser():
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+_MIXED_CALLS = {
+    "bracket": ["bracket", "--s", "x1^2", "--a", "d1", "--b", "x1"],
+    "bracket-json": ["bracket", "--json", "--s", "x1", "--a", "d1^2", "--b", "exp(i*x1)", "--kind", "geo"],
+    "classical": ["classical", "--s", "x1^2", "--f", "x1", "--g", "x2^2"],
+    "usage-error": ["verify", "--trials", "0"],
+    "parse-error": ["bracket", "--s", "0", "--a", "((", "--b", "x1"],
+    "dim-zero": ["bracket", "--s", "0", "--a", "x1", "--b", "d1", "--dim", "0"],
+    "verify": ["verify", "--trials", "1"],
+}
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_shared_parser_leaks_no_state(capsys, fresh_parser):
+    forward = {label: _outcome(capsys, argv) for label, argv in _MIXED_CALLS.items()}
+    backward = {
+        label: _outcome(capsys, _MIXED_CALLS[label]) for label in reversed(_MIXED_CALLS)
+    }
+    assert backward == forward
+    assert [forward[label][0] for label in _MIXED_CALLS] == [0, 0, 0, 2, 2, 2, 0]
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch, fresh_parser):
+    builds = []
+
+    def counting_build_parser():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    for label in ("bracket", "classical", "parse-error", "bracket-json", "bracket"):
+        _outcome(capsys, _MIXED_CALLS[label])
+    assert len(builds) == 1

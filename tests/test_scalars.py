@@ -272,3 +272,11 @@ def test_copy_and_pickle_round_trip(value, round_trip):
     again = round_trip(value)
     assert type(again) is type(value)
     assert again == value and str(again) == str(value)
+
+
+@given(st.lists(pairs, max_size=12))
+def test_sort_key_orders_as_fraction_pairs(xs):
+    # integer-valued scalars take the int-pair key, the rest the Fraction pair
+    zs = [ComplexRational(*x) for x in xs]
+    by_key = sorted(zs, key=ComplexRational.sort_key)
+    assert by_key == sorted(zs, key=lambda z: (z.re, z.im))
