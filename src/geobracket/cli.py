@@ -15,7 +15,8 @@ vanishes on every grid point or, for ``grid-check``, is not periodic under
 before it builds a matrix), 3 dimension error, 4 tolerance/verification failure,
 5 internal error (a bug).  A closed stdout (the reader of a pipe exited
 early, as in ``geobracket verify --json | head``) is not an error: the
-command stops writing and exits 0 with nothing on stderr.  Grid sizes
+command stops writing and exits with its own code and its own stderr
+message, 0 and nothing when it succeeds.  Grid sizes
 (``grid-check --n``, ``oscillator --grid``) are powers of two from 16 to
 ``grid.MAX_POINTS`` (2048); any other size exits 2 before a matrix is
 allocated.
@@ -157,11 +158,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(payload: dict, as_json: bool, lines):
-    if as_json:
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in lines:
-            print(line)
+    """Print the output; a closed stdout ends the writing, not the command."""
+    try:
+        if as_json:
+            print(json.dumps(payload, indent=2))
+        else:
+            for line in lines:
+                print(line)
+    except BrokenPipeError:
+        _silence_stdout()
 
 
 def cmd_bracket(args) -> int:
@@ -407,14 +412,7 @@ def _silence_stdout() -> None:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        code = _COMMANDS[args.command](args)
-        # Flush here so a closed pipe surfaces as BrokenPipeError below,
-        # not at interpreter exit.
-        sys.stdout.flush()
-        return code
-    except BrokenPipeError:
-        _silence_stdout()
-        return 0
+        return _COMMANDS[args.command](args)
     except ExprSyntaxError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
@@ -430,6 +428,13 @@ def main(argv=None) -> int:
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)
         return 5
+    finally:
+        # Flush on every path, so a closed pipe is silenced here and not
+        # reported by the interpreter's exit-time flush.
+        try:
+            sys.stdout.flush()
+        except BrokenPipeError:
+            _silence_stdout()
 
 
 if __name__ == "__main__":

@@ -34,8 +34,9 @@ so no dense product forms it.  ``qcpb`` takes two dense products, as
 ``a (b + [s, b]) - b (a + [s, a])``.  Every 2-norm in ``compare`` is the
 square root of the largest eigenvalue of a Gram matrix (``_norm2``), and
 the band-limited one is taken from FFT columns rather than from a dense
-projector; no SVD is computed.  A flow reuses the rate it evaluates for a
-sample's decomposition residual as the next RK4 step's first stage.
+projector; no SVD is computed.  ``[s, X]`` is ``(s_i - s_j) X_ij``, one
+elementwise pass.  A flow takes 2 dense products per RK4 stage, as
+``F R - H (F + [s, F])``, and 5 per sample for its term-by-term residual.
 """
 
 from __future__ import annotations
@@ -417,6 +418,22 @@ class EvolutionResult:
             stream.write(line + "\n")
 
 
+def _stage_rate(h_mat, plus_s, scale, covariant):
+    """``F -> scale * ([F, H] - H [s, F] (+ F [s, H]))`` in two dense products,
+    as ``scale * (F R - H (plus_s * F))`` with ``plus_s * X = X + [s, X]`` and
+    ``R = H`` or (covariant) ``plus_s * H``, built as ``plus_s * F`` is, so
+    that the covariant rate at ``F = H`` is exactly zero."""
+    r_mat = plus_s * h_mat if covariant else h_mat
+
+    def rate(f):
+        out = f @ r_mat
+        out -= h_mat @ (plus_s * f)
+        out *= scale
+        return out
+
+    return rate
+
+
 def evolve(
     s: CoefFn,
     hamiltonian: DiffOp,
@@ -435,9 +452,10 @@ def evolve(
     ``law`` selects the plain (``generalized_heisenberg``) or ``covariant``
     rate; expectation values ``<psi|F|psi> / <psi|psi>`` are recorded
     against the state ``psi`` (one that vanishes on every grid point raises
-    ``ValueError``).  Each sample evaluates both rates, from their shared
-    products, for its decomposition residual, and the one ``law`` selects is
-    the next step's first RK4 stage.  Only the final operator is returned.
+    ``ValueError``).  Each RK4 stage takes two dense products
+    (``_stage_rate``); each sample writes both rates out term by term, from
+    ``[F, H]``, ``H [s, F]`` and ``F [s, H]``, for its decomposition
+    residual.  Only the final operator is returned.
     """
     if law not in LAWS:
         raise ValueError(f"law must be one of {LAWS}")
@@ -449,30 +467,12 @@ def evolve(
     psi_vec = _state(psi, spec)
     psi_norm2 = float(np.real(np.vdot(psi_vec, psi_vec)))
 
-    is_covariant = law == "covariant"
     scale = -1j / float(hbar)  # 1/(i hbar)
-    comm_sh = _comm_diag(s_vec, h_mat)
+    s_diff = s_vec[:, None] - s_vec[None, :]
+    plus_s = 1.0 + s_diff
+    comm_sh = s_diff * h_mat
     w_mat = scale * comm_sh
-
-    # Both rates are built from ``[f, H]`` and ``H [s, f]``; the covariant
-    # one adds ``f [s, H]``.
-    def shared_terms(f):
-        return _comm(f, h_mat), h_mat @ _comm_diag(s_vec, f)
-
-    def plain_rate(commutator, sandwich):
-        return scale * (commutator - sandwich)
-
-    def covariant_rate(f, commutator, sandwich):
-        out = commutator + f @ comm_sh
-        out -= sandwich
-        return scale * out
-
-    def rate(f):
-        terms = shared_terms(f)
-        return covariant_rate(f, *terms) if is_covariant else plain_rate(*terms)
-
-    def expectation(f):
-        return complex(np.vdot(psi_vec, f @ psi_vec)) / psi_norm2
+    rate = _stage_rate(h_mat, plus_s, scale, law == "covariant")
 
     dt = t_final / steps
     n_samples = max(2, min(n_samples, steps + 1))
@@ -481,22 +481,20 @@ def evolve(
     times, expectations, residuals = [], [], []
 
     def record(step_index, f):
-        """Append a sample; return the rate of ``law`` at ``f``."""
-        terms = shared_terms(f)
-        covariant = covariant_rate(f, *terms)
-        plain = plain_rate(*terms)
-        defect = covariant - plain - f @ w_mat
+        """Append a sample, with both rates written out term by term."""
+        commutator = _comm(f, h_mat)
+        sandwich = h_mat @ (s_diff * f)
+        covariant = scale * (commutator + f @ comm_sh - sandwich)
+        defect = covariant - scale * (commutator - sandwich) - f @ w_mat
         denom = max(1.0, float(np.linalg.norm(covariant)))
         times.append(step_index * dt)
-        expectations.append(expectation(f))
+        expectations.append(complex(np.vdot(psi_vec, f @ psi_vec)) / psi_norm2)
         residuals.append(float(np.linalg.norm(defect)) / denom)
-        return covariant if is_covariant else plain
 
-    k1 = record(0, f_mat)
+    record(0, f_mat)
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, steps + 1):
-            if k1 is None:
-                k1 = rate(f_mat)
+            k1 = rate(f_mat)
             k2 = rate(f_mat + 0.5 * dt * k1)
             k3 = rate(f_mat + 0.5 * dt * k2)
             k4 = rate(f_mat + dt * k3)
@@ -506,7 +504,8 @@ def evolve(
                     f"non-finite values at step {step} (t = {step * dt:.6g}); "
                     "reduce the step size or the operator order"
                 )
-            k1 = record(step, f_mat) if step in sample_steps else None
+            if step in sample_steps:
+                record(step, f_mat)
     return EvolutionResult(times, expectations, residuals, GridOp(f_mat, spec))
 
 

@@ -472,19 +472,10 @@ def test_huge_exponent_finishes(capsys):
     assert "total:           1000000*d1^999999" in out
 
 
-@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["verify", "--seed", "7", "--trials", "2", "--json"],
-        ["bracket", "--s", "0", "--a", "x1", "--b", "d1"],
-    ],
-    ids=["verify-json", "bracket"],
-)
-def test_closed_stdout_exits_0_silently(argv, unbuffered):
+def _run_with_closed_stdout(argv, unbuffered):
     # The read end is closed before the child starts, so every write the
     # child makes meets a closed pipe: inside a print when stdout is
-    # unbuffered, at the flush after the command when it is buffered.
+    # unbuffered, at a flush when it is buffered.
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
@@ -497,10 +488,49 @@ def test_closed_stdout_exits_0_silently(argv, unbuffered):
         )
     finally:
         os.close(write_end)
-    err = result.stderr.decode()
-    assert result.returncode == 0, err
+    return result.returncode, result.stderr.decode()
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--seed", "7", "--trials", "2", "--json"],
+        ["bracket", "--s", "0", "--a", "x1", "--b", "d1"],
+    ],
+    ids=["verify-json", "bracket"],
+)
+def test_closed_stdout_exits_0_silently(argv, unbuffered):
+    code, err = _run_with_closed_stdout(argv, unbuffered)
+    assert code == 0, err
     assert "internal error" not in err
     assert "Exception ignored" not in err
+
+
+_FAILING_GRID_CHECK = [
+    "grid-check", "--s", "0", "--a", "d1", "--b", "exp(i*x1)", "--n", "64", "--tol", "1e-18",
+]
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "argv, expected_code",
+    [
+        (_FAILING_GRID_CHECK, 4),
+        (["grid-check", "--json", *_FAILING_GRID_CHECK[1:]], 4),
+        (["bracket", "--s", "0", "--a", "((", "--b", "x1"], 2),
+    ],
+    ids=["grid-check-fail", "grid-check-fail-json", "parse-error"],
+)
+def test_closed_stdout_keeps_the_exit_code_and_message(
+    capsys, argv, expected_code, unbuffered
+):
+    # A failing command's exit code and stderr message survive a closed
+    # stdout: the same as with an open one, and nothing else on stderr.
+    open_code, _, open_err = run_cli(capsys, *argv)
+    assert open_code == expected_code
+    code, err = _run_with_closed_stdout(argv, unbuffered)
+    assert (code, err) == (open_code, open_err)
 
 
 @pytest.fixture

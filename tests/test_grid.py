@@ -517,11 +517,16 @@ def test_norm2_of_zero_is_exactly_zero():
     assert _band_limited_norm(np.zeros((64, 64), dtype=complex), 16) == 0.0
 
 
-def _reference_evolve(s, hamiltonian, f0, *, t_final, steps, spec, law, psi, n_samples):
-    """The RK4 loop as written before samples shared a rate with the next step.
+def _reference_evolve(
+    s, hamiltonian, f0, *, t_final, steps, spec, law, psi, n_samples, stage="regrouped"
+):
+    """The RK4 loop written out, one stage rate per call.
 
-    Every step evaluates its own first stage, and every sample evaluates both
-    rates again for its decomposition residual.
+    ``stage`` picks the stage rate: ``regrouped`` is ``F R - H (F + [s, F])``
+    in two dense products, ``terms`` sums ``[F, H]``, ``H [s, F]`` and (if
+    covariant) ``F [s, H]``, and ``commutator`` is ``[F, H]`` alone (right
+    only for ``s = 0``).  Every step evaluates its own first stage, and
+    every sample writes both rates out term by term for its residual.
     """
     h_mat = discretize(hamiltonian, spec).matrix
     s_vec = sample(s, spec)
@@ -530,24 +535,31 @@ def _reference_evolve(s, hamiltonian, f0, *, t_final, steps, spec, law, psi, n_s
     psi_norm2 = float(np.real(np.vdot(psi_vec, psi_vec)))
 
     scale = -1j / 1.0
-    comm_sh = s_vec[:, None] * h_mat - h_mat * s_vec[None, :]
+    s_diff = s_vec[:, None] - s_vec[None, :]
+    plus_s = 1.0 + s_diff
+    comm_sh = s_diff * h_mat
     w_mat = scale * comm_sh
+    covariant = law == "covariant"
+    r_mat = plus_s * h_mat if covariant else h_mat
 
-    def comm_diag(f):
-        return s_vec[:, None] * f - f * s_vec[None, :]
+    def term_rates(f):
+        """The plain and the covariant rate, summed term by term."""
+        commutator = f @ h_mat - h_mat @ f
+        sandwich = h_mat @ (s_diff * f)
+        plain = scale * (commutator - sandwich)
+        return plain, scale * (commutator + f @ comm_sh - sandwich)
 
-    def plain_rate(f):
-        return scale * ((f @ h_mat - h_mat @ f) - h_mat @ comm_diag(f))
-
-    def covariant_rate(f):
-        return scale * ((f @ h_mat - h_mat @ f) + f @ comm_sh - h_mat @ comm_diag(f))
-
-    rate = covariant_rate if law == "covariant" else plain_rate
+    def rate(f):
+        if stage == "regrouped":
+            return scale * (f @ r_mat - h_mat @ (plus_s * f))
+        if stage == "commutator":
+            return scale * (f @ h_mat - h_mat @ f)
+        return term_rates(f)[covariant]
 
     def decomposition_residual(f):
-        covariant = covariant_rate(f)
-        defect = covariant - plain_rate(f) - f @ w_mat
-        denom = max(1.0, float(np.linalg.norm(covariant)))
+        plain, covariant_rate = term_rates(f)
+        defect = covariant_rate - plain - f @ w_mat
+        denom = max(1.0, float(np.linalg.norm(covariant_rate)))
         return float(np.linalg.norm(defect)) / denom
 
     dt = t_final / steps
@@ -601,4 +613,85 @@ def test_evolve_is_bitwise_equal_to_reference_loop(law, scheme, steps, n_samples
     assert result.residuals == residuals
     assert max(residuals) > 0.0  # nonzero s: the residual is not trivially 0
     assert result.final.matrix.dtype == final.dtype
+    assert result.final.matrix.tobytes() == final.tobytes()
+
+
+@pytest.mark.parametrize("real_s", [True, False], ids=["real-s", "complex-s"])
+@pytest.mark.parametrize("law", ["generalized_heisenberg", "covariant"])
+@pytest.mark.parametrize("scheme", ["spectral", "central2"])
+def test_stage_rate_matches_term_by_term_rates(scheme, law, real_s):
+    spec = GridSpec(64, scheme)
+    s, h_op, _ = _flow_scenario(scheme)
+    if not real_s:
+        s = s + E_IX.scaled(Fraction(1, 7))
+    h = discretize(h_op, spec).matrix
+    s_vec = sample(s, spec)
+    rng = np.random.default_rng(14)
+    f = rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape)
+    scale = -1j / 3.0
+
+    # The rates as three and four dense products, with [s, X] as a row and
+    # a column scaling.
+    def comm_s(x):
+        return s_vec[:, None] * x - x * s_vec[None, :]
+
+    commutator = f @ h - h @ f
+    expected = commutator - h @ comm_s(f)
+    if law == "covariant":
+        expected = expected + f @ comm_s(h)
+    expected = scale * expected
+    s_diff = s_vec[:, None] - s_vec[None, :]
+    actual = grid_module._stage_rate(h, 1.0 + s_diff, scale, law == "covariant")(f)
+
+    # A complex dot product of length n errs by at most sqrt(2) gamma_{n+2}
+    # |a|^T |b| (Higham, Accuracy and Stability of Numerical Algorithms,
+    # 2nd ed., section 3.6), so a dense product errs in Frobenius norm by at
+    # most sqrt(2) (n + 2) eps ||A|| ||B|| to first order.  The two sides
+    # hold at most six products, each of factors with norms at most ||F||
+    # and (1 + d) ||H||, d = max |s_i - s_j|; the elementwise scalings and
+    # sums add a few eps per entry, which n + 4 in place of n + 2 covers.
+    n = spec.n_points
+    d = float(np.max(np.abs(s_diff)))
+    eps = np.finfo(float).eps
+    bound = (
+        6 * np.sqrt(2) * (n + 4) * eps * (1 + d)
+        * np.linalg.norm(f) * np.linalg.norm(h) * abs(scale)
+    )
+    assert np.linalg.norm(actual - expected) <= bound
+    assert d > 0.0
+
+
+@pytest.mark.parametrize("law", ["generalized_heisenberg", "covariant"])
+@pytest.mark.parametrize("scheme", ["spectral", "central2"])
+def test_flow_with_structure_matches_term_by_term_flow(scheme, law):
+    spec = GridSpec(32, scheme)
+    s, h_op, f0 = _flow_scenario(scheme)
+    kwargs = dict(
+        t_final=0.5, steps=50, spec=spec, law=law, psi=E_IX, n_samples=11
+    )
+    result = evolve(s, h_op, f0, **kwargs)
+    _, expectations, _, final = _reference_evolve(
+        s, h_op, f0, stage="terms", **kwargs
+    )
+    gap = np.array(result.expectations) - np.array(expectations)
+    assert np.linalg.norm(gap) <= 1e-12 * np.linalg.norm(expectations)
+    final_gap = np.linalg.norm(result.final.matrix - final)
+    assert final_gap <= 1e-12 * np.linalg.norm(final)
+
+
+@pytest.mark.parametrize("law", ["generalized_heisenberg", "covariant"])
+@pytest.mark.parametrize("scheme", ["spectral", "central2"])
+def test_flow_without_structure_is_bitwise_the_commutator_flow(scheme, law):
+    spec = GridSpec(32, scheme)
+    _, h_op, f0 = _flow_scenario(scheme)
+    kwargs = dict(
+        t_final=0.3, steps=30, spec=spec, law=law, psi=E_IX, n_samples=7
+    )
+    result = evolve(zero(1), h_op, f0, **kwargs)
+    times, expectations, residuals, final = _reference_evolve(
+        zero(1), h_op, f0, stage="commutator", **kwargs
+    )
+    assert result.times == times
+    assert result.expectations == expectations
+    assert result.residuals == residuals
     assert result.final.matrix.tobytes() == final.tobytes()
