@@ -12,7 +12,8 @@ expression nested deeper than ``parsing.MAX_DEPTH`` (100) levels, a
 ``--J`` file that is not a JSON list of rows, and a ``--psi`` that
 vanishes on every grid point or, for ``grid-check``, is not periodic under
 ``spectral``; ``grid-check`` parses every expression and checks ``--psi``
-before it builds a matrix), 3 dimension error, 4 tolerance/verification failure,
+before it builds a matrix; an ``oscillator --csv`` path that cannot be
+written), 3 dimension error, 4 tolerance/verification failure,
 5 internal error (a bug).  A closed stdout (the reader of a pipe exited
 early, as in ``geobracket verify --json | head``) is not an error: the
 command stops writing and exits with its own code and its own stderr
@@ -25,6 +26,12 @@ allocated.
 builds the ``argparse`` parser and every later call reuses it; nothing
 changes the parser once it is built, so one call leaves no state behind
 for the next.
+
+Each command lists its symbolic results once, as ``(JSON key, text label,
+value)`` rows; ``_render`` turns every value into its string once, and that
+string feeds both the text line and the ``--json`` field.  Commands print
+only through ``_emit``, which writes one of the two forms, flushes it, and
+is the one place that handles a closed stdout.
 """
 
 from __future__ import annotations
@@ -52,7 +59,7 @@ from .quantum import (
     geomentum,
     harmonic_oscillator,
 )
-from .verify import format_results, run_identity_suite
+from .verify import run_identity_suite
 
 
 def _fraction(text: str) -> Fraction:
@@ -102,13 +109,11 @@ def build_parser() -> argparse.ArgumentParser:
     bracket.add_argument("--b", required=True, help="right operator expression")
     bracket.add_argument("--kind", choices=("qpb", "geo", "qcpb"), default="qcpb")
     bracket.add_argument("--dim", type=_positive_int, default=None, help="coordinate count")
-    bracket.add_argument("--json", action="store_true")
 
     verify = sub.add_parser("verify", help="run the randomized identity suite")
     verify.add_argument("--trials", type=_positive_int, default=100)
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--dim", type=_positive_int, default=2, help="largest dimension drawn")
-    verify.add_argument("--json", action="store_true")
 
     oscillator = sub.add_parser(
         "oscillator", help="quadratic-Hamiltonian dynamics report and evolution"
@@ -125,7 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     oscillator.add_argument("--psi", default="exp(i*x1)", help="state for expectations")
     oscillator.add_argument("--csv", default=None, help="write samples to this file")
-    oscillator.add_argument("--json", action="store_true")
 
     grid_check = sub.add_parser(
         "grid-check", help="symbolic-vs-matrix bracket residuals"
@@ -138,7 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     grid_check.add_argument("--kind", choices=("qpb", "geomutator", "qcpb"), default="qcpb")
     grid_check.add_argument("--tol", type=_tolerance, default=1e-8)
     grid_check.add_argument("--psi", default="exp(i*x1)")
-    grid_check.add_argument("--json", action="store_true")
 
     classical = sub.add_parser("classical", help="structural Poisson brackets")
     classical.add_argument("--s", required=True)
@@ -152,21 +155,38 @@ def build_parser() -> argparse.ArgumentParser:
     classical.add_argument(
         "--pairs", type=_positive_int, default=None, help="position/momentum pairs"
     )
-    classical.add_argument("--json", action="store_true")
 
+    for command in sub.choices.values():
+        command.add_argument("--json", action="store_true")
     return parser
 
 
-def _emit(payload: dict, as_json: bool, lines):
-    """Print the output; a closed stdout ends the writing, not the command."""
+def _emit(payload: dict, as_json: bool, lines) -> None:
+    """Write the output: the one writer to stdout.
+
+    A closed stdout ends the writing, not the command: the stream is pointed
+    at the null device, so the exit-time flush succeeds, and the command goes
+    on to its own exit code.
+    """
+    text = json.dumps(payload, indent=2) if as_json else "\n".join(lines)
     try:
-        if as_json:
-            print(json.dumps(payload, indent=2))
-        else:
-            for line in lines:
-                print(line)
+        sys.stdout.write(text + "\n")
+        sys.stdout.flush()
     except BrokenPipeError:
-        _silence_stdout()
+        try:
+            fd = sys.stdout.fileno()
+        except io.UnsupportedOperation:
+            return
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+
+
+def _render(rows):
+    """``(JSON key, text label, value)`` rows as JSON fields and text lines,
+    each value rendered once."""
+    fields = {key: str(value) for key, _, value in rows}
+    return fields, [label + fields[key] for key, label, _ in rows]
 
 
 def cmd_bracket(args) -> int:
@@ -176,41 +196,29 @@ def cmd_bracket(args) -> int:
     a = lower(nodes[1], dim, s)
     b = lower(nodes[2], dim, s)
     if args.kind == "qpb":
-        result = commutator(a, b)
-        _emit(
-            {"kind": "qpb", "total": str(result)},
-            args.json,
-            [f"qpb: {result}"],
-        )
+        rows = [("total", "qpb: ", commutator(a, b))]
     elif args.kind == "geo":
-        result = geomutator(s, a, b)
-        _emit(
-            {"kind": "geo", "total": str(result)},
-            args.json,
-            [f"geomutator: {result}"],
-        )
+        rows = [("total", "geomutator: ", geomutator(s, a, b))]
     else:
         report = qcpb(s, a, b)
-        _emit(
-            {
-                "kind": "qcpb",
-                "qpb": str(report.qpb_part),
-                "geomutator": str(report.geomutator_part),
-                "total": str(report.total),
-            },
-            args.json,
-            [
-                f"qpb part:        {report.qpb_part}",
-                f"geomutator part: {report.geomutator_part}",
-                f"total:           {report.total}",
-            ],
-        )
+        rows = [
+            ("qpb", "qpb part:        ", report.qpb_part),
+            ("geomutator", "geomutator part: ", report.geomutator_part),
+            ("total", "total:           ", report.total),
+        ]
+    fields, lines = _render(rows)
+    _emit({"kind": args.kind, **fields}, args.json, lines)
     return 0
 
 
 def cmd_verify(args) -> int:
     results = run_identity_suite(args.trials, args.seed, args.dim)
-    lines = format_results(results, args.seed, args.trials, args.dim)
+    ok = all(r.ok for r in results)
+    lines = [f"identity suite: seed={args.seed} trials={args.trials} dim={args.dim}"]
+    for r in results:
+        name = f"{r.name} ".ljust(40, ".")
+        lines.append(f"{name} {r.passed}/{r.trials} {'pass' if r.ok else 'FAIL'}")
+    lines.append(f"result: {'PASS' if ok else 'FAIL'} ({len(results)} checks)")
     payload = {
         "seed": args.seed,
         "trials": args.trials,
@@ -219,10 +227,10 @@ def cmd_verify(args) -> int:
             {"name": r.name, "passed": r.passed, "trials": r.trials, "ok": r.ok}
             for r in results
         ],
-        "ok": all(r.ok for r in results),
+        "ok": ok,
     }
     _emit(payload, args.json, lines)
-    return 0 if all(r.ok for r in results) else 4
+    return 0 if ok else 4
 
 
 def cmd_oscillator(args) -> int:
@@ -249,20 +257,18 @@ def cmd_oscillator(args) -> int:
     w_grid = grid_mod.discretize(flow.w_op, spec)
     spectrum = grid_mod.eigenvalues(w_grid)[:8]
     p_geo = grid_mod.discretize(geomentum(s, 0, params), spec)
-    covariant_x = covariant_rhs(s, h, x_op)
-    plain_x = gen_heisenberg_rhs(s, h, x_op)
-    covariant_p = covariant_rhs(s, h, p_op)
-    plain_p = gen_heisenberg_rhs(s, h, p_op)
-
-    report_lines = [
-        f"hamiltonian:               {h.op}",
-        f"w (flow generator):        {flow.w_op}",
-        f"geomenergy (i*hbar*w):     {flow.geomenergy}",
-        f"covariant rate of x1:      {covariant_x}",
-        f"plain rate of x1:          {plain_x}",
-        f"covariant rate of p1:      {covariant_p}",
-        f"plain rate of p1:          {plain_p}",
-        f"geomentum Hermitian on grid: {grid_mod.is_hermitian(p_geo)}",
+    hermitian = grid_mod.is_hermitian(p_geo)
+    fields, lines = _render([
+        ("hamiltonian", "hamiltonian:               ", h.op),
+        ("w", "w (flow generator):        ", flow.w_op),
+        ("geomenergy", "geomenergy (i*hbar*w):     ", flow.geomenergy),
+        ("covariant_rate_x", "covariant rate of x1:      ", covariant_rhs(s, h, x_op)),
+        ("plain_rate_x", "plain rate of x1:          ", gen_heisenberg_rhs(s, h, x_op)),
+        ("covariant_rate_p", "covariant rate of p1:      ", covariant_rhs(s, h, p_op)),
+        ("plain_rate_p", "plain rate of p1:          ", gen_heisenberg_rhs(s, h, p_op)),
+    ])
+    lines += [
+        f"geomentum Hermitian on grid: {hermitian}",
         "w spectrum (first 8, by real part): "
         + ", ".join(f"{z.real:.6g}{z.imag:+.6g}i" for z in spectrum),
         f"evolution: law={args.law} grid={args.grid} scheme=central2 "
@@ -271,26 +277,23 @@ def cmd_oscillator(args) -> int:
     ]
     csv_rows = list(result.csv_lines())
     payload = {
-        "hamiltonian": str(h.op),
-        "w": str(flow.w_op),
-        "geomenergy": str(flow.geomenergy),
-        "covariant_rate_x": str(covariant_x),
-        "plain_rate_x": str(plain_x),
-        "covariant_rate_p": str(covariant_p),
-        "plain_rate_p": str(plain_p),
-        "geomentum_hermitian": grid_mod.is_hermitian(p_geo),
+        **fields,
+        "geomentum_hermitian": hermitian,
         "w_spectrum": [[z.real, z.imag] for z in spectrum],
         "law": args.law,
         "csv": csv_rows,
     }
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as stream:
-            result.write_csv(stream)
-        report_lines.append(f"csv written: {args.csv}")
+        try:
+            with open(args.csv, "w", encoding="utf-8") as stream:
+                stream.writelines(row + "\n" for row in csv_rows)
+        except OSError as exc:
+            raise ValueError(f"cannot write CSV file {args.csv!r}: {exc.strerror}") from exc
+        lines.append(f"csv written: {args.csv}")
         payload["csv_path"] = args.csv
-        _emit(payload, args.json, report_lines)
     else:
-        _emit(payload, args.json, report_lines + csv_rows)
+        lines += csv_rows
+    _emit(payload, args.json, lines)
     return 0
 
 
@@ -309,8 +312,8 @@ def cmd_grid_check(args) -> int:
         symbolic = qcpb(s, a, b).total
     numeric = grid_mod.matrix_bracket(s, a, b, spec, args.kind)
     report = grid_mod.compare(symbolic, numeric, psi, args.tol)
-    lines = [
-        f"symbolic {args.kind}: {symbolic}",
+    fields, lines = _render([("symbolic", f"symbolic {args.kind}: ", symbolic)])
+    lines += [
         f"l2 residual (on psi):   {report.l2_residual:.3e}",
         f"spectral-norm residual: {report.spectral_residual:.3e}",
         f"tolerance:              {report.tolerance:.3e}",
@@ -318,7 +321,7 @@ def cmd_grid_check(args) -> int:
     ]
     payload = {
         "kind": args.kind,
-        "symbolic": str(symbolic),
+        **fields,
         "l2_residual": report.l2_residual,
         "spectral_residual": report.spectral_residual,
         "tolerance": report.tolerance,
@@ -361,26 +364,15 @@ def cmd_classical(args) -> int:
     s, f, g = (as_function(lower(node, size)) for node in nodes)
     j = _load_structure_matrix(args.J, pairs)
     bracket = gspb(s, f, g, j)
-    plain = gpb(f, g, j)
-    tghs = dynamics_rhs(s, g, f, j, "tghs")
-    w = dynamics_rhs(s, g, f, j, "sdyn")
-    lines = [
-        f"coordinates: x1..x{pairs} positions, x{pairs + 1}..x{size} momenta",
-        f"gpb {{f,g}}:        {plain}",
-        f"gspb {{f,g}}_s:     {bracket}",
-        f"gchs rate of f:    {bracket}",
-        f"tghs rate of f:    {tghs}",
-        f"s-dynamics w:      {w}",
-    ]
-    payload = {
-        "pairs": pairs,
-        "gpb": str(plain),
-        "gspb": str(bracket),
-        "gchs": str(bracket),
-        "tghs": str(tghs),
-        "sdyn": str(w),
-    }
-    _emit(payload, args.json, lines)
+    fields, lines = _render([
+        ("gpb", "gpb {f,g}:        ", gpb(f, g, j)),
+        ("gspb", "gspb {f,g}_s:     ", bracket),
+        ("gchs", "gchs rate of f:    ", bracket),
+        ("tghs", "tghs rate of f:    ", dynamics_rhs(s, g, f, j, "tghs")),
+        ("sdyn", "s-dynamics w:      ", dynamics_rhs(s, g, f, j, "sdyn")),
+    ])
+    coordinates = f"coordinates: x1..x{pairs} positions, x{pairs + 1}..x{size} momenta"
+    _emit({"pairs": pairs, **fields}, args.json, [coordinates, *lines])
     return 0
 
 
@@ -396,17 +388,6 @@ _COMMANDS = {
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     return build_parser()
-
-
-def _silence_stdout() -> None:
-    """Point a real stdout at the null device, so the exit-time flush succeeds."""
-    try:
-        fd = sys.stdout.fileno()
-    except io.UnsupportedOperation:
-        return
-    devnull = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(devnull, fd)
-    os.close(devnull)
 
 
 def main(argv=None) -> int:
@@ -428,13 +409,6 @@ def main(argv=None) -> int:
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)
         return 5
-    finally:
-        # Flush on every path, so a closed pipe is silenced here and not
-        # reported by the interpreter's exit-time flush.
-        try:
-            sys.stdout.flush()
-        except BrokenPipeError:
-            _silence_stdout()
 
 
 if __name__ == "__main__":

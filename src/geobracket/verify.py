@@ -54,7 +54,6 @@ class CheckResult:
     name: str
     passed: int
     trials: int
-    detail: str = ""
 
     @property
     def ok(self) -> bool:
@@ -290,23 +289,9 @@ def run_identity_suite(trials: int = 100, seed: int = 0, max_dim: int = 2):
     results = []
     for name, check in ALL_CHECKS:
         passed = 0
-        first_failure = ""
         for index in range(trials):
-            rng = trial_rng(seed, name, index)
-            if check(rng, max_dim):
+            if check(trial_rng(seed, name, index), max_dim):
                 passed += 1
-            elif not first_failure:
-                first_failure = f"first failure at trial {index}"
-        results.append(CheckResult(name, passed, trials, first_failure))
+        results.append(CheckResult(name, passed, trials))
     return results
 
-
-def format_results(results, seed: int, trials: int, max_dim: int):
-    lines = [f"identity suite: seed={seed} trials={trials} dim={max_dim}"]
-    for result in results:
-        status = "pass" if result.ok else "FAIL"
-        name = f"{result.name} ".ljust(40, ".")
-        lines.append(f"{name} {result.passed}/{result.trials} {status}")
-    verdict = "PASS" if all(r.ok for r in results) else "FAIL"
-    lines.append(f"result: {verdict} ({len(results)} checks)")
-    return lines

@@ -6,11 +6,13 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from random import Random
 
 import pytest
 
-from geobracket import cli
+from geobracket import cli, printing
 from geobracket.cli import build_parser, main
+from geobracket.randomized import random_periodic_diff_op, random_periodic_fn
 
 
 def run_cli(capsys, *argv):
@@ -228,6 +230,95 @@ def test_oscillator_json(capsys):
     assert payload["w"] == "0"
     assert payload["plain_rate_x"] == "-i*d1"
     assert payload["csv"][0] == "t,re_expect,im_expect,residual"
+
+
+def test_unwritable_csv_path_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing-dir" / "flow.csv"
+    argv = ["oscillator", "--s", "0", "--grid", "16", "--steps", "2", "--csv", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"invalid input: cannot write CSV file {str(path)!r}: No such file or directory\n"
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(printing, name)
+
+    def counting(value):
+        calls.append(1)
+        return original(value)
+
+    monkeypatch.setattr(printing, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("as_json", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "argv, printer, renders",
+    [
+        (["bracket", "--s", "x1^2", "--a", "d1", "--b", "x1", "--kind", "qcpb"],
+         "format_diff_op", 3),
+        (["classical", "--s", "x1^2", "--f", "x1", "--g", "x2^2"], "format_coef_fn", 5),
+    ],
+    ids=["bracket-qcpb", "classical"],
+)
+def test_each_result_is_rendered_once(capsys, monkeypatch, argv, printer, renders, as_json):
+    # One string per result feeds both the text line and the JSON field.
+    calls = _count_calls(monkeypatch, printer)
+    code, _, _ = run_cli(capsys, *argv, *as_json)
+    assert code == 0
+    assert len(calls) == renders
+
+
+# Text label of every engine string in the JSON output; ``kind`` and ``law``
+# echo options and are left out.
+_TEXT_LABELS = {
+    "oscillator": {
+        "hamiltonian": "hamiltonian:",
+        "w": "w (flow generator):",
+        "geomenergy": "geomenergy (i*hbar*w):",
+        "covariant_rate_x": "covariant rate of x1:",
+        "plain_rate_x": "plain rate of x1:",
+        "covariant_rate_p": "covariant rate of p1:",
+        "plain_rate_p": "plain rate of p1:",
+    },
+    "grid-check": {"symbolic": "symbolic {kind}:"},
+}
+
+
+def _seeded_requests(seed):
+    rng = Random(f"text-json/{seed}")
+    s = random_periodic_fn(rng, real=True)
+    a, b = random_periodic_diff_op(rng), random_periodic_diff_op(rng)
+    kind = rng.choice(("qpb", "geomutator", "qcpb"))
+    amplitude = rng.choice(("1/5", "1/10"))
+    flow_s = f"{amplitude}*exp(i*x1) + {amplitude}*exp(-i*x1) + {rng.choice(('0', '1/10*x1'))}"
+    # The loose --tol lets every comparison pass: only the strings are read.
+    return [
+        ["grid-check", f"--s={s}", f"--a={a}", f"--b={b}", "--n", "32", "--kind", kind,
+         "--scheme", rng.choice(("spectral", "central2")), "--tol", "1e9"],
+        ["oscillator", f"--s={flow_s}", "--grid", "16", "--t", "0.1", "--steps", "5",
+         "--law", rng.choice(("generalized_heisenberg", "covariant"))],
+    ]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_text_and_json_agree_on_engine_strings(capsys, seed):
+    for argv in _seeded_requests(seed):
+        code, text, _ = run_cli(capsys, *argv)
+        json_code, out, _ = run_cli(capsys, *argv, "--json")
+        assert code == json_code == 0
+        payload = json.loads(out)
+        lines = text.splitlines()
+        labels = {
+            key: label.format(kind=payload.get("kind"))
+            for key, label in _TEXT_LABELS[argv[0]].items()
+        }
+        strings = {k for k, v in payload.items() if isinstance(v, str)}
+        assert strings - {"kind", "law"} == set(labels)
+        for key, label in labels.items():
+            (line,) = [line for line in lines if line.startswith(label)]
+            assert line[len(label):].lstrip() == payload[key]
 
 
 def test_parse_error_exits_2(capsys):
