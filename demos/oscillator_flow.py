@@ -6,11 +6,10 @@ into a covariant flow with an extra generator w = (1/i hbar)[s, H]:
     covariant rate of f = plain rate of f + f w.
 
 This script prints the generator and the exact rate equations for position
-and momentum, then integrates the plain flow on a grid and tabulates
-expectation values.
+and momentum, then integrates the covariant flow on a grid and tabulates
+expectation values and the norm growth ||F(t)|| / ||F(0)||.
 """
 
-import io
 from fractions import Fraction
 
 from geobracket import (
@@ -70,8 +69,6 @@ result = evolve(
     n_samples=9,
 )
 print("covariant grid flow of cos x under -d^2/2 + cos x (s = cos(x)/8):")
-buffer = io.StringIO()
-result.write_csv(buffer)
-for line in buffer.getvalue().splitlines():
-    t, re, im, residual = line.split(",")
-    print(f"  {t:>22} {re:>24} {im:>24} {residual}")
+for line in result.csv_lines():
+    t, re, im, growth = line.split(",")
+    print(f"  {t:>22} {re:>24} {im:>24} {growth}")

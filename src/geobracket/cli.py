@@ -13,14 +13,14 @@ expression nested deeper than ``parsing.MAX_DEPTH`` (100) levels, a
 vanishes on every grid point or, for ``grid-check``, is not periodic under
 ``spectral``; ``grid-check`` parses every expression and checks ``--psi``
 before it builds a matrix; an ``oscillator --csv`` path that cannot be
-written), 3 dimension error, 4 tolerance/verification failure,
-5 internal error (a bug).  A closed stdout (the reader of a pipe exited
-early, as in ``geobracket verify --json | head``) is not an error: the
-command stops writing and exits with its own code and its own stderr
-message, 0 and nothing when it succeeds.  Grid sizes
-(``grid-check --n``, ``oscillator --grid``) are powers of two from 16 to
-``grid.MAX_POINTS`` (2048); any other size exits 2 before a matrix is
-allocated.
+written, refused before the flow and without creating a file), 3 dimension
+error, 4 tolerance/verification failure, 5 internal error (a bug).  A
+closed stdout (the reader of a pipe exited early, as in ``geobracket
+verify --json | head``) is not an error: the command stops writing and
+exits with its own code and its own stderr message, 0 and nothing when it
+succeeds.  Grid sizes (``grid-check --n``, ``oscillator --grid``) are
+powers of two from 16 to ``grid.MAX_POINTS`` (2048); any other size exits
+2 before a matrix is allocated.
 
 ``main(argv)`` may be called repeatedly in one process.  The first call
 builds the ``argparse`` parser and every later call reuses it; nothing
@@ -37,6 +37,7 @@ is the one place that handles a closed stdout.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import io
 import json
@@ -233,6 +234,20 @@ def cmd_verify(args) -> int:
     return 0 if ok else 4
 
 
+def _refuse_unwritable_csv(path: str) -> None:
+    """Raise ``ValueError``, creating nothing, where ``open(path, "w")`` would fail."""
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise ValueError(f"cannot write CSV file {path!r}: {os.strerror(code)}")
+
+
 def cmd_oscillator(args) -> int:
     params = Params(hbar=args.hbar, mass=args.m, omega=args.omega)
     s = parse_function(args.s, dim=1)
@@ -243,6 +258,8 @@ def cmd_oscillator(args) -> int:
 
     spec = grid_mod.GridSpec(args.grid, "central2")
     psi = parse_function(args.psi, dim=1)
+    if args.csv:
+        _refuse_unwritable_csv(args.csv)
     result = grid_mod.evolve(
         s,
         h.op,

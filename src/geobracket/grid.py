@@ -16,8 +16,8 @@ an ``n/8``-point band at each end of the domain seam.  A state ``psi``
 expectations and relative residuals divide by its norm; such a state is
 rejected with ``ValueError``.  ``comparison_state`` applies ``compare``'s
 checks on its own, so a caller can refuse a bad state before building any
-matrix.  A flow (``evolve``) reports per-sample expectations and residuals
-and keeps only its final operator.
+matrix.  A flow (``evolve``) reports per-sample expectations and norm
+growth and keeps only its final operator.
 
 Size budget: a grid has at most ``MAX_POINTS`` (2048) points, since every
 operator is a dense n x n complex matrix (64 MiB at the cap); larger sizes
@@ -36,7 +36,7 @@ square root of the largest eigenvalue of a Gram matrix (``_norm2``), and
 the band-limited one is taken from FFT columns rather than from a dense
 projector; no SVD is computed.  ``[s, X]`` is ``(s_i - s_j) X_ij``, one
 elementwise pass.  A flow takes 2 dense products per RK4 stage, as
-``F R - H (F + [s, F])``, and 5 per sample for its term-by-term residual.
+``F R - H (F + [s, F])``, and none per sample.
 """
 
 from __future__ import annotations
@@ -48,11 +48,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (
-    DimensionMismatch,
-    EvolutionDiverged,
-    NonPeriodicCoefficient,
-)
+from .errors import DimensionMismatch, EvolutionDiverged, NonPeriodicCoefficient
 from .functions import CoefFn
 from .operators import DiffOp
 
@@ -195,9 +191,7 @@ def _is_periodic_term(nu, kappa) -> bool:
 
 def is_grid_periodic(f: CoefFn) -> bool:
     """True when every term is a plane wave resolved on a 2*pi-periodic grid."""
-    return f.dim == 1 and all(
-        _is_periodic_term(nu, kappa) for nu, kappa in f.terms
-    )
+    return f.dim == 1 and all(_is_periodic_term(nu, kappa) for nu, kappa in f.terms)
 
 
 def comparison_state(psi: CoefFn, spec: GridSpec) -> np.ndarray:
@@ -248,12 +242,6 @@ def discretize(op: DiffOp, spec: GridSpec) -> GridOp:
 # expressions while holding one fewer n x n temporary.
 
 
-def _comm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = a @ b
-    out -= b @ a
-    return out
-
-
 def _comm_diag(s: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``[diag(s), b]`` by row and column scaling."""
     out = s[:, None] * b
@@ -285,7 +273,8 @@ def matrix_bracket(
     a_mat = discretize(a, spec).matrix
     b_mat = discretize(b, spec).matrix
     if kind == "qpb":
-        out = _comm(a_mat, b_mat)
+        out = a_mat @ b_mat
+        out -= b_mat @ a_mat
     elif kind == "geomutator":
         out = a_mat @ _comm_diag(s_vec, b_mat) - b_mat @ _comm_diag(s_vec, a_mat)
     elif kind == "qcpb":
@@ -393,29 +382,23 @@ LAWS = ("generalized_heisenberg", "covariant")
 class EvolutionResult:
     """Sampled trajectory of an operator flow on the grid.
 
-    ``residuals`` holds, per sample, the relative Frobenius defect of the
-    decomposition ``covariant rate - plain rate - F w``; it is a
-    self-consistency diagnostic and stays at rounding level.  Only the
-    final operator is kept (``final``), not one per sample: each is a dense
-    n x n matrix.
+    ``growth`` holds, per sample, ``||F(t)||_F / ||F(0)||_F`` (0.0 when
+    ``F(0)`` is zero): it stays at 1, to RK4's accuracy, under a unitary
+    flow and shows the ``exp(t ||[s, H]||)`` growth of a covariant one.
+    Only the final operator is kept (``final``), not one per sample: each
+    is a dense n x n matrix.
     """
 
     times: list
     expectations: list
-    residuals: list
+    growth: list
     final: GridOp
 
     def csv_lines(self):
-        """Rows ``t,re_expect,im_expect,residual`` at 17 significant digits."""
-        yield "t,re_expect,im_expect,residual"
-        for t, expect, residual in zip(self.times, self.expectations, self.residuals):
-            yield (
-                f"{t:.17g},{expect.real:.17g},{expect.imag:.17g},{residual:.17g}"
-            )
-
-    def write_csv(self, stream) -> None:
-        for line in self.csv_lines():
-            stream.write(line + "\n")
+        """Rows ``t,re_expect,im_expect,growth`` at 17 significant digits."""
+        yield "t,re_expect,im_expect,growth"
+        for t, expect, growth in zip(self.times, self.expectations, self.growth):
+            yield f"{t:.17g},{expect.real:.17g},{expect.imag:.17g},{growth:.17g}"
 
 
 def _stage_rate(h_mat, plus_s, scale, covariant):
@@ -452,10 +435,11 @@ def evolve(
     ``law`` selects the plain (``generalized_heisenberg``) or ``covariant``
     rate; expectation values ``<psi|F|psi> / <psi|psi>`` are recorded
     against the state ``psi`` (one that vanishes on every grid point raises
-    ``ValueError``).  Each RK4 stage takes two dense products
-    (``_stage_rate``); each sample writes both rates out term by term, from
-    ``[F, H]``, ``H [s, F]`` and ``F [s, H]``, for its decomposition
-    residual.  Only the final operator is returned.
+    ``ValueError``), together with the norm growth ``||F(t)||_F /
+    ||F(0)||_F``, which is 0.0 when ``F(0)`` is zero.  Each RK4 stage takes
+    two dense products (``_stage_rate``) and a sample takes none; the update
+    runs in place, with the rounding of ``f + (dt/6) (k1 + 2 k2 + 2 k3 +
+    k4)``.  Only the final operator is returned.
     """
     if law not in LAWS:
         raise ValueError(f"law must be one of {LAWS}")
@@ -468,28 +452,20 @@ def evolve(
     psi_norm2 = float(np.real(np.vdot(psi_vec, psi_vec)))
 
     scale = -1j / float(hbar)  # 1/(i hbar)
-    s_diff = s_vec[:, None] - s_vec[None, :]
-    plus_s = 1.0 + s_diff
-    comm_sh = s_diff * h_mat
-    w_mat = scale * comm_sh
+    plus_s = 1.0 + (s_vec[:, None] - s_vec[None, :])
     rate = _stage_rate(h_mat, plus_s, scale, law == "covariant")
 
     dt = t_final / steps
     n_samples = max(2, min(n_samples, steps + 1))
     sample_steps = sorted({round(k * steps / (n_samples - 1)) for k in range(n_samples)})
+    norm0 = float(np.linalg.norm(f_mat))
 
-    times, expectations, residuals = [], [], []
+    times, expectations, growth = [], [], []
 
     def record(step_index, f):
-        """Append a sample, with both rates written out term by term."""
-        commutator = _comm(f, h_mat)
-        sandwich = h_mat @ (s_diff * f)
-        covariant = scale * (commutator + f @ comm_sh - sandwich)
-        defect = covariant - scale * (commutator - sandwich) - f @ w_mat
-        denom = max(1.0, float(np.linalg.norm(covariant)))
         times.append(step_index * dt)
         expectations.append(complex(np.vdot(psi_vec, f @ psi_vec)) / psi_norm2)
-        residuals.append(float(np.linalg.norm(defect)) / denom)
+        growth.append(float(np.linalg.norm(f)) / norm0 if norm0 else 0.0)
 
     record(0, f_mat)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -498,7 +474,14 @@ def evolve(
             k2 = rate(f_mat + 0.5 * dt * k1)
             k3 = rate(f_mat + 0.5 * dt * k2)
             k4 = rate(f_mat + dt * k3)
-            f_mat = f_mat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            k2 *= 2.0
+            k2 += k1
+            k3 *= 2.0
+            k2 += k3
+            k2 += k4
+            k2 *= dt / 6.0
+            k2 += f_mat
+            f_mat = k2
             if not np.all(np.isfinite(f_mat)):
                 raise EvolutionDiverged(
                     f"non-finite values at step {step} (t = {step * dt:.6g}); "
@@ -506,7 +489,7 @@ def evolve(
                 )
             if step in sample_steps:
                 record(step, f_mat)
-    return EvolutionResult(times, expectations, residuals, GridOp(f_mat, spec))
+    return EvolutionResult(times, expectations, growth, GridOp(f_mat, spec))
 
 
 def is_hermitian(op: GridOp) -> bool:

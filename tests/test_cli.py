@@ -10,7 +10,7 @@ from random import Random
 
 import pytest
 
-from geobracket import cli, printing
+from geobracket import cli, grid, printing
 from geobracket.cli import build_parser, main
 from geobracket.randomized import random_periodic_diff_op, random_periodic_fn
 
@@ -207,7 +207,7 @@ def test_oscillator_report_and_csv(tmp_path, capsys):
     assert "w (flow generator):" in out
     assert "-i - 2*i*x1*d1" in out
     lines = csv_path.read_text().splitlines()
-    assert lines[0] == "t,re_expect,im_expect,residual"
+    assert lines[0] == "t,re_expect,im_expect,growth"
     assert len(lines) > 2
 
 
@@ -229,7 +229,7 @@ def test_oscillator_json(capsys):
     payload = json.loads(out)
     assert payload["w"] == "0"
     assert payload["plain_rate_x"] == "-i*d1"
-    assert payload["csv"][0] == "t,re_expect,im_expect,residual"
+    assert payload["csv"][0] == "t,re_expect,im_expect,growth"
 
 
 def test_unwritable_csv_path_exits_2(tmp_path, capsys):
@@ -238,6 +238,41 @@ def test_unwritable_csv_path_exits_2(tmp_path, capsys):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"invalid input: cannot write CSV file {str(path)!r}: No such file or directory\n"
+
+
+@pytest.mark.parametrize(
+    "case, reason",
+    [
+        ("missing-directory", "No such file or directory"),
+        ("directory", "Is a directory"),
+        ("file-as-directory", "Not a directory"),
+    ],
+)
+def test_unwritable_csv_path_is_refused_before_the_flow(
+    tmp_path, capsys, monkeypatch, case, reason
+):
+    if case == "missing-directory":
+        path = tmp_path / "missing-dir" / "flow.csv"
+    elif case == "directory":
+        path = tmp_path / "flow.csv"
+        path.mkdir()
+    else:
+        (tmp_path / "plain-file").write_text("")
+        path = tmp_path / "plain-file" / "flow.csv"
+    before = sorted(tmp_path.rglob("*"))
+
+    def no_flow(*args, **kwargs):
+        pytest.fail("the flow ran before the --csv path was checked")
+
+    monkeypatch.setattr(grid, "evolve", no_flow)
+    argv = ["oscillator", "--s", "0", "--grid", "16", "--steps", "2", "--csv", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"invalid input: cannot write CSV file {str(path)!r}: {reason}\n"
+    assert sorted(tmp_path.rglob("*")) == before  # nothing was created
+    with pytest.raises(OSError) as opened:  # the reason open() itself gives
+        open(path, "w")
+    assert opened.value.strerror == reason
 
 
 def _count_calls(monkeypatch, name):
@@ -511,8 +546,6 @@ def test_outside_input_exits_2(capsys, argv, message):
     ids=["syntax", "non-periodic", "zero"],
 )
 def test_grid_check_refuses_bad_psi_before_matrix_work(capsys, monkeypatch, psi, message):
-    from geobracket import grid
-
     def no_matrix_work(*args, **kwargs):
         pytest.fail("a matrix was built before --psi was checked")
 
