@@ -12,7 +12,8 @@ expression nested deeper than ``parsing.MAX_DEPTH`` (100) levels, a
 ``--J`` file that is not a JSON list of rows, and a ``--psi`` that
 vanishes on every grid point or, for ``grid-check``, is not periodic under
 ``spectral``; ``grid-check`` parses every expression and checks ``--psi``
-before it builds a matrix; an ``oscillator --csv`` path that cannot be
+before it builds a matrix, and under ``spectral`` refuses an ``--s`` that
+is not periodic before it discretizes, unless ``--kind qpb``; an ``oscillator --csv`` path that cannot be
 written, refused before the flow and without creating a file), 3 dimension
 error, 4 tolerance/verification failure, 5 internal error (a bug).  A
 closed stdout (the reader of a pipe exited early, as in ``geobracket

@@ -14,7 +14,8 @@ operators (:mod:`geobracket.operators`, whose terms map a derivative
 multi-index to a :class:`CoefFn`): no zero coefficients, unique validated
 keys, and insertion order kept.  Every sum of terms goes through
 :func:`accumulate`, so a key keeps its first position unless its sum
-cancels.
+cancels.  Insertion order is not the text order: :mod:`geobracket.printing`
+sorts the terms when it renders them.
 """
 
 from __future__ import annotations
@@ -181,14 +182,6 @@ class CoefFn(TermMap):
     @property
     def is_polynomial(self) -> bool:
         return all(all(not k for k in kappa) for _, kappa in self.terms)
-
-    def sorted_terms(self):
-        """Terms in a deterministic canonical order."""
-        def key(item):
-            (nu, kappa), _ = item
-            return (nu, tuple(k.sort_key() for k in kappa))
-
-        return sorted(self.terms.items(), key=key)
 
     def __str__(self) -> str:
         from .printing import format_coef_fn

@@ -8,7 +8,8 @@ with the exact engine is evidence rather than tautology.
 
 Scheme notes: ``spectral`` differentiates through the FFT and is exact (to
 rounding) on resolved Fourier modes, so it demands 2*pi-periodic
-coefficients; ``central2`` is the second-order central difference
+coefficients (and structure function, for the brackets that use one);
+``central2`` is the second-order central difference
 ``(f[i+1] - f[i-1]) / (2h)``, which accepts arbitrary coefficients
 (monomials included) at the cost of accuracy, and its comparisons exclude
 an ``n/8``-point band at each end of the domain seam.  A state ``psi``
@@ -268,8 +269,15 @@ def matrix_bracket(
     ``s`` stays a vector of samples: each ``[s, .]`` is a row and column
     scaling, so the dense products are only those with ``a`` and ``b``:
     two for each kind, with ``qcpb`` as ``a (b + [s, b]) - b (a + [s, a])``.
+    Under ``spectral`` a kind that uses ``s`` refuses a non-periodic ``s``
+    before any operator is discretized.
     """
     s_vec = sample(s, spec)
+    if kind != "qpb" and spec.scheme == "spectral" and not is_grid_periodic(s):
+        raise NonPeriodicCoefficient(
+            "spectral scheme requires a 2*pi-periodic structure function; "
+            "use scheme='central2' for a polynomial s"
+        )
     a_mat = discretize(a, spec).matrix
     b_mat = discretize(b, spec).matrix
     if kind == "qpb":

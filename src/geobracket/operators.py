@@ -13,7 +13,8 @@ explains) term blow-up in nested brackets.
 A ``DiffOp`` is a :class:`~geobracket.functions.TermMap` from multi-indices
 ``alpha`` to coefficient functions; construction, addition, the zero test
 and the accumulate-and-prune loop of :func:`compose` are those of
-:mod:`geobracket.functions`.
+:mod:`geobracket.functions`.  The text form (``str``) and its term order
+are :mod:`geobracket.printing`'s.
 """
 
 from __future__ import annotations
@@ -92,9 +93,6 @@ class DiffOp(TermMap):
 
     def coefficient(self, alpha) -> CoefFn:
         return self.terms.get(tuple(alpha), zero(self.dim))
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda item: item[0])
 
     def __str__(self) -> str:
         from .printing import format_diff_op

@@ -10,7 +10,8 @@ terms (``gcd(a, b, d) == 1``), the layout of FLINT's ``fmpq_poly`` applied
 to a single scalar.  Arithmetic works on the ints and normalizes once per
 operation, so tuple equality and hashing are structural.  The real and
 imaginary parts are available as :class:`~fractions.Fraction` views for
-printing, parsing and ordering.
+printing, parsing and ordering.  The text form (``str``) is rendered by
+:mod:`geobracket.printing`.
 """
 
 from __future__ import annotations
@@ -157,6 +158,8 @@ class ComplexRational(tuple):
         return complex(self.re) + 1j * complex(self.im)
 
     def __str__(self) -> str:
+        from .printing import format_scalar
+
         return format_scalar(self)
 
     def __repr__(self) -> str:
@@ -187,26 +190,3 @@ def _coerce_or_none(value):
         return _new(ComplexRational, (value, 0, 1))
     return None
 
-
-def _imag_str(im: Fraction) -> str:
-    if im == 1:
-        return "i"
-    if im == -1:
-        return "-i"
-    return f"{im}*i"
-
-
-def format_scalar(z: ComplexRational) -> str:
-    """Render in the DSL grammar, e.g. ``3/2``, ``-i``, ``1/2 + 3*i``."""
-    if z.is_real:
-        return str(z.re)
-    im = z.im
-    if not z[0]:
-        return _imag_str(im)
-    sign = "+" if im > 0 else "-"
-    return f"{z.re} {sign} {_imag_str(abs(im))}"
-
-
-def scalar_needs_parens(z: ComplexRational) -> bool:
-    """True when the rendering is a sum, so factor positions need parens."""
-    return bool(z[0] and z[1])

@@ -145,7 +145,7 @@ def test_hermitian_split_reduces_when_imaginary_parts_vanish():
     g_plus = random_diff_op(rng, 1)
     report = hermitian_split_qcpb(s, f_plus, zero_op(1), g_plus, zero_op(1))
     assert report.combined.total == qcpb(s, f_plus, g_plus).total
-    assert report.expansion_holds
+    assert verify.hermitian_split_holds(report)
 
 
 # Identities stated once in geobracket.verify, each on the draws it makes there.

@@ -558,6 +558,31 @@ def test_grid_check_refuses_bad_psi_before_matrix_work(capsys, monkeypatch, psi,
     assert (code, out, err) == (2, "", message + "\n")
 
 
+@pytest.mark.parametrize("kind", ["geomutator", "qcpb"])
+@pytest.mark.parametrize("s", ["x1", "x1^2"])
+def test_grid_check_refuses_non_periodic_s_before_discretizing(capsys, monkeypatch, s, kind):
+    def no_discretize(*args, **kwargs):
+        pytest.fail("an operator was discretized before --s was checked")
+
+    monkeypatch.setattr(grid, "discretize", no_discretize)
+    code, out, err = run_cli(
+        capsys, "grid-check", "--s", s, "--a", "d1", "--b", "exp(i*x1)", "--kind", kind,
+    )
+    message = (
+        "invalid input: spectral scheme requires a 2*pi-periodic structure function; "
+        "use scheme='central2' for a polynomial s"
+    )
+    assert (code, out, err) == (2, "", message + "\n")
+
+
+def test_grid_check_qpb_ignores_a_polynomial_s(capsys):
+    code, out, _ = run_cli(
+        capsys, "grid-check", "--s", "x1^2", "--a", "d1", "--b", "exp(i*x1)", "--kind", "qpb",
+    )
+    assert code == 0
+    assert "status: pass" in out
+
+
 @pytest.mark.parametrize(
     "content, message",
     [

@@ -90,6 +90,27 @@ def test_polynomial_coefficient_policy():
     assert np.allclose(np.diag(g.matrix), GridSpec(64).points())
 
 
+@pytest.mark.parametrize("kind", ["geomutator", "qcpb"])
+@pytest.mark.parametrize("s", [coord(1, 0), monomial(1, (2,))], ids=["x1", "x1^2"])
+def test_spectral_bracket_refuses_non_periodic_s_before_discretizing(monkeypatch, s, kind):
+    def no_discretize(*args, **kwargs):
+        pytest.fail("an operator was discretized before s was checked")
+
+    monkeypatch.setattr(grid_module, "discretize", no_discretize)
+    with pytest.raises(NonPeriodicCoefficient, match="structure function"):
+        matrix_bracket(s, partial_d(1), mult(E_IX), GridSpec(64), kind)
+
+
+@pytest.mark.parametrize(
+    "scheme, kind",
+    [("spectral", "qpb"), ("central2", "geomutator"), ("central2", "qcpb")],
+)
+def test_polynomial_s_is_accepted_where_it_is_not_sampled_spectrally(scheme, kind):
+    spec = GridSpec(64, scheme)
+    out = matrix_bracket(monomial(1, (2,)), partial_d(1), mult(E_IX), spec, kind)
+    assert out.matrix.shape == (64, 64)
+
+
 def test_two_dimensional_rejected():
     with pytest.raises(DimensionMismatch):
         discretize(partial_d(2), GridSpec(64))

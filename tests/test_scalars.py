@@ -10,7 +10,8 @@ from hypothesis import given, strategies as st
 
 from geobracket.functions import coord, exponential
 from geobracket.operators import mult, partial_d
-from geobracket.scalars import ONE, ComplexRational, format_scalar, scalar_needs_parens
+from geobracket.printing import format_scalar, scalar_needs_parens
+from geobracket.scalars import ONE, ComplexRational
 
 rationals = st.fractions(
     min_value=-20, max_value=20, max_denominator=12
