@@ -6,38 +6,27 @@ with matrix products, and flows are integrated with classic fourth-order
 Runge-Kutta.  Everything here is double precision on purpose, so agreement
 with the exact engine is evidence rather than tautology.
 
-Scheme notes: ``spectral`` differentiates through the FFT and is exact (to
-rounding) on resolved Fourier modes, so it demands 2*pi-periodic
-coefficients (and structure function, for the brackets that use one);
-``central2`` is the second-order central difference
-``(f[i+1] - f[i-1]) / (2h)``, which accepts arbitrary coefficients
-(monomials included) at the cost of accuracy, and its comparisons exclude
-an ``n/8``-point band at each end of the domain seam.  A state ``psi``
-(``compare``, ``evolve``) must not vanish on every grid point, since
-expectations and relative residuals divide by its norm; such a state is
-rejected with ``ValueError``.  ``comparison_state`` applies ``compare``'s
-checks on its own, so a caller can refuse a bad state before building any
-matrix.  A flow (``evolve``) reports per-sample expectations and norm
-growth and keeps only its final operator.
+Input gate: every coefficient, structure function ``s`` and state ``psi``
+enters the oracle through ``sample``, and nowhere else.  Under ``spectral``
+(Fourier differentiation, exact to rounding on resolved modes of
+2*pi-periodic data) ``sample`` refuses a function that is not
+2*pi-periodic with ``NonPeriodicCoefficient``, naming it in DSL form;
+``central2``, the second-order central difference ``(f[i+1] - f[i-1]) /
+(2h)``, accepts polynomial data at the cost of accuracy, and its
+comparisons exclude an ``n/8``-point band at each end of the domain seam.
+``state`` samples a ``psi`` and also refuses, with ``ValueError``, one that
+vanishes on every grid point, since expectations and relative residuals
+divide by its norm.  ``matrix_bracket`` and ``evolve`` sample ``s``, and
+``compare`` and ``evolve`` sample ``psi``, before they discretize anything,
+so such input is refused before any dense work.
 
 Size budget: a grid has at most ``MAX_POINTS`` (2048) points, since every
 operator is a dense n x n complex matrix (64 MiB at the cap); larger sizes
 are rejected with ``ValueError`` before anything is allocated.
 
-Realization notes: a coefficient or structure function enters only as a
-multiplication operator, i.e. a diagonal matrix, so it is kept as a vector
-of samples and applied by scaling rows (``c[:, None] * M``) or columns
-(``M * c[None, :]``) instead of by dense products.  Each ``GridSpec`` builds
-its derivative matrix once and each power of it at most once
-(``GridSpec.derivative_power``), as read-only arrays that live as long as
-the spec; a spectral power is the circulant of its symbol ``(i k)^order``,
-so no dense product forms it.  ``qcpb`` takes two dense products, as
-``a (b + [s, b]) - b (a + [s, a])``.  Every 2-norm in ``compare`` is the
-square root of the largest eigenvalue of a Gram matrix (``_norm2``), and
-the band-limited one is taken from FFT columns rather than from a dense
-projector; no SVD is computed.  ``[s, X]`` is ``(s_i - s_j) X_ij``, one
-elementwise pass.  A flow takes 2 dense products per RK4 stage, as
-``F R - H (F + [s, F])``, and none per sample.
+A coefficient or structure function is a multiplication operator, so it
+stays a vector of samples and scales rows or columns instead of taking part
+in a dense product; each ``GridSpec`` caches its derivative powers.
 """
 
 from __future__ import annotations
@@ -161,9 +150,24 @@ def derivative_matrix(spec: GridSpec) -> np.ndarray:
 
 
 def sample(f: CoefFn, spec: GridSpec) -> np.ndarray:
-    """Evaluate a 1-D coefficient function on the grid points."""
+    """Evaluate a 1-D coefficient function on the grid points.
+
+    The oracle's one input gate.  Under ``spectral`` every term must be a
+    plane wave ``exp(i k x)`` with integer ``k``: a monomial factor, a real
+    frequency or a fractional one raises ``NonPeriodicCoefficient``, which
+    names ``f``, since Fourier differentiation is exact only on
+    2*pi-periodic data.
+    """
     if f.dim != 1:
         raise DimensionMismatch("grid sampling requires 1-D functions")
+    if spec.scheme == "spectral" and not all(
+        nu[0] == 0 and kappa[0].re == 0 and kappa[0].im.denominator == 1
+        for nu, kappa in f.terms
+    ):
+        raise NonPeriodicCoefficient(
+            f"spectral scheme requires 2*pi-periodic data, got {f}; "
+            "use scheme='central2' for polynomial data"
+        )
     x = spec.points()
     values = np.zeros(spec.n_points, dtype=complex)
     for (nu, kappa), coeff in f.terms.items():
@@ -177,33 +181,14 @@ def sample(f: CoefFn, spec: GridSpec) -> np.ndarray:
     return values
 
 
-def _state(psi: CoefFn, spec: GridSpec) -> np.ndarray:
-    """Samples of a state; one that vanishes on every grid point is refused,
-    since expectations and relative residuals divide by its norm."""
+def state(psi: CoefFn, spec: GridSpec) -> np.ndarray:
+    """Samples of a state; besides ``sample``'s refusal, one that vanishes
+    on every grid point raises ``ValueError``, since expectations and
+    relative residuals divide by its norm."""
     values = sample(psi, spec)
     if not np.any(values):
         raise ValueError("the state psi vanishes on every grid point")
     return values
-
-
-def _is_periodic_term(nu, kappa) -> bool:
-    return nu[0] == 0 and kappa[0].re == 0 and kappa[0].im.denominator == 1
-
-
-def is_grid_periodic(f: CoefFn) -> bool:
-    """True when every term is a plane wave resolved on a 2*pi-periodic grid."""
-    return f.dim == 1 and all(_is_periodic_term(nu, kappa) for nu, kappa in f.terms)
-
-
-def comparison_state(psi: CoefFn, spec: GridSpec) -> np.ndarray:
-    """Samples of the state ``compare`` tests with, refused (before any
-    matrix is built) when it is not periodic under ``spectral`` or vanishes
-    on every grid point."""
-    if spec.scheme == "spectral" and not is_grid_periodic(psi):
-        raise NonPeriodicCoefficient(
-            "spectral comparison requires a periodic test function"
-        )
-    return _state(psi, spec)
 
 
 @dataclass(frozen=True)
@@ -226,11 +211,6 @@ def discretize(op: DiffOp, spec: GridSpec) -> GridOp:
         raise DimensionMismatch("the grid oracle is one-dimensional")
     out = np.zeros((spec.n_points, spec.n_points), dtype=complex)
     for (order,), coeff in op.terms.items():
-        if spec.scheme == "spectral" and not is_grid_periodic(coeff):
-            raise NonPeriodicCoefficient(
-                "spectral scheme requires 2*pi-periodic coefficients; "
-                "use scheme='central2' for polynomial coefficients"
-            )
         values = sample(coeff, spec)
         if order:
             out += values[:, None] * spec.derivative_power(order)
@@ -257,6 +237,9 @@ def _plus_comm_diag(s: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+KINDS = ("qpb", "geomutator", "qcpb")
+
+
 def matrix_bracket(
     s: CoefFn,
     a: DiffOp,
@@ -269,15 +252,14 @@ def matrix_bracket(
     ``s`` stays a vector of samples: each ``[s, .]`` is a row and column
     scaling, so the dense products are only those with ``a`` and ``b``:
     two for each kind, with ``qcpb`` as ``a (b + [s, b]) - b (a + [s, a])``.
-    Under ``spectral`` a kind that uses ``s`` refuses a non-periodic ``s``
-    before any operator is discretized.
+    An unknown ``kind`` is refused before anything is sampled, and ``s`` is
+    sampled (so, under ``spectral``, checked) before any operator is
+    discretized, except under ``qpb``, which does not use it.
     """
-    s_vec = sample(s, spec)
-    if kind != "qpb" and spec.scheme == "spectral" and not is_grid_periodic(s):
-        raise NonPeriodicCoefficient(
-            "spectral scheme requires a 2*pi-periodic structure function; "
-            "use scheme='central2' for a polynomial s"
-        )
+    if kind not in KINDS:
+        raise ValueError(f"unknown bracket kind {kind!r}")
+    if kind != "qpb":
+        s_vec = sample(s, spec)
     a_mat = discretize(a, spec).matrix
     b_mat = discretize(b, spec).matrix
     if kind == "qpb":
@@ -285,11 +267,9 @@ def matrix_bracket(
         out -= b_mat @ a_mat
     elif kind == "geomutator":
         out = a_mat @ _comm_diag(s_vec, b_mat) - b_mat @ _comm_diag(s_vec, a_mat)
-    elif kind == "qcpb":
+    else:
         out = a_mat @ _plus_comm_diag(s_vec, b_mat)
         out -= b_mat @ _plus_comm_diag(s_vec, a_mat)
-    else:
-        raise ValueError(f"unknown bracket kind {kind!r}")
     return GridOp(out, spec)
 
 
@@ -348,8 +328,10 @@ def compare(
     is restricted to the resolved band |k| <= n/4, where agreement is exact
     to rounding; under central2 a boundary band of ``n/8`` points at each
     end of the domain is excluded from the L2 residual instead (wraparound
-    pollutes the seam for non-periodic data).  A ``psi`` that vanishes on
-    every grid point raises ``ValueError``.
+    pollutes the seam for non-periodic data).  ``psi`` enters through
+    ``state``, before ``symbolic`` is discretized: one that vanishes on
+    every grid point raises ``ValueError``, and under ``spectral`` one that
+    is not 2*pi-periodic raises ``NonPeriodicCoefficient``.
 
     The band-limited norm is the 2-norm of the n x (n/2 + 1) matrix of the
     resolved FFT columns (``_band_limited_norm``); no projector is formed.
@@ -357,7 +339,7 @@ def compare(
     largest Gram eigenvalue, rather than from an SVD.
     """
     spec = numeric.spec
-    psi_vec = comparison_state(psi, spec)
+    psi_vec = state(psi, spec)
     sym_mat = discretize(symbolic, spec).matrix
     band = spec.n_points // 8 if spec.scheme == "central2" else 0
     keep = slice(band, spec.n_points - band)
@@ -442,21 +424,22 @@ def evolve(
 
     ``law`` selects the plain (``generalized_heisenberg``) or ``covariant``
     rate; expectation values ``<psi|F|psi> / <psi|psi>`` are recorded
-    against the state ``psi`` (one that vanishes on every grid point raises
-    ``ValueError``), together with the norm growth ``||F(t)||_F /
-    ||F(0)||_F``, which is 0.0 when ``F(0)`` is zero.  Each RK4 stage takes
-    two dense products (``_stage_rate``) and a sample takes none; the update
-    runs in place, with the rounding of ``f + (dt/6) (k1 + 2 k2 + 2 k3 +
-    k4)``.  Only the final operator is returned.
+    against the state ``psi``, together with the norm growth ``||F(t)||_F /
+    ||F(0)||_F``, which is 0.0 when ``F(0)`` is zero.  ``s`` and ``psi``
+    (through ``state``) are sampled before ``hamiltonian`` and ``f0`` are
+    discretized, so a refused ``s`` or ``psi`` costs no matrix.  Each RK4
+    stage takes two dense products (``_stage_rate``) and a sample takes
+    none; the update runs in place, with the rounding of ``f + (dt/6) (k1
+    + 2 k2 + 2 k3 + k4)``.  Only the final operator is returned.
     """
     if law not in LAWS:
         raise ValueError(f"law must be one of {LAWS}")
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    h_mat = discretize(hamiltonian, spec).matrix
     s_vec = sample(s, spec)
-    f_mat = discretize(f0, spec).matrix.astype(complex)
-    psi_vec = _state(psi, spec)
+    psi_vec = state(psi, spec)
+    h_mat = discretize(hamiltonian, spec).matrix
+    f_mat = discretize(f0, spec).matrix
     psi_norm2 = float(np.real(np.vdot(psi_vec, psi_vec)))
 
     scale = -1j / float(hbar)  # 1/(i hbar)

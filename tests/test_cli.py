@@ -540,7 +540,8 @@ def test_outside_input_exits_2(capsys, argv, message):
     [
         ("((", "parse error: unexpected end of input (line 1, column 3); "
                "expected one of: number, identifier, ("),
-        ("x1", "invalid input: spectral comparison requires a periodic test function"),
+        ("x1", "invalid input: spectral scheme requires 2*pi-periodic data, got x1; "
+               "use scheme='central2' for polynomial data"),
         ("0", "invalid input: the state psi vanishes on every grid point"),
     ],
     ids=["syntax", "non-periodic", "zero"],
@@ -569,8 +570,8 @@ def test_grid_check_refuses_non_periodic_s_before_discretizing(capsys, monkeypat
         capsys, "grid-check", "--s", s, "--a", "d1", "--b", "exp(i*x1)", "--kind", kind,
     )
     message = (
-        "invalid input: spectral scheme requires a 2*pi-periodic structure function; "
-        "use scheme='central2' for a polynomial s"
+        f"invalid input: spectral scheme requires 2*pi-periodic data, got {s}; "
+        "use scheme='central2' for polynomial data"
     )
     assert (code, out, err) == (2, "", message + "\n")
 

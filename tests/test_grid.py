@@ -14,8 +14,10 @@ from geobracket.errors import (
     NonPeriodicCoefficient,
 )
 from geobracket.functions import cos_of, coord, exponential, monomial, one, zero
+from geobracket import cli
 from geobracket import grid as grid_module
 from geobracket.grid import (
+    LAWS,
     MAX_POINTS,
     GridSpec,
     _band_limited_norm,
@@ -40,6 +42,15 @@ from geobracket.scalars import ComplexRational
 
 I = ComplexRational(0, 1)
 E_IX = exponential(1, (I,))
+X1_SQUARED = monomial(1, (2,))
+
+
+def non_periodic_message(name):
+    """The one refusal of data that is not 2*pi-periodic under ``spectral``."""
+    return (
+        f"spectral scheme requires 2*pi-periodic data, got {name}; "
+        "use scheme='central2' for polynomial data"
+    )
 
 
 def test_spec_validation():
@@ -91,14 +102,78 @@ def test_polynomial_coefficient_policy():
 
 
 @pytest.mark.parametrize("kind", ["geomutator", "qcpb"])
-@pytest.mark.parametrize("s", [coord(1, 0), monomial(1, (2,))], ids=["x1", "x1^2"])
-def test_spectral_bracket_refuses_non_periodic_s_before_discretizing(monkeypatch, s, kind):
+@pytest.mark.parametrize(
+    "s, name", [(coord(1, 0), "x1"), (X1_SQUARED, "x1^2")], ids=["x1", "x1^2"]
+)
+def test_spectral_bracket_refuses_non_periodic_s_before_discretizing(
+    monkeypatch, s, name, kind
+):
     def no_discretize(*args, **kwargs):
         pytest.fail("an operator was discretized before s was checked")
 
     monkeypatch.setattr(grid_module, "discretize", no_discretize)
-    with pytest.raises(NonPeriodicCoefficient, match="structure function"):
+    with pytest.raises(NonPeriodicCoefficient) as refusal:
         matrix_bracket(s, partial_d(1), mult(E_IX), GridSpec(64), kind)
+    assert str(refusal.value) == non_periodic_message(name)
+
+
+def test_matrix_bracket_refuses_an_unknown_kind_before_sampling(monkeypatch):
+    def no_sampling(*args, **kwargs):
+        pytest.fail("an input was sampled before the kind was checked")
+
+    monkeypatch.setattr(grid_module, "sample", no_sampling)
+    monkeypatch.setattr(grid_module, "discretize", no_sampling)
+    with pytest.raises(ValueError) as refusal:
+        matrix_bracket(cos_of(1), partial_d(1), mult(E_IX), GridSpec(64), "commutator")
+    assert str(refusal.value) == "unknown bracket kind 'commutator'"
+
+
+def _grid_check_refusal(capsys, flag):
+    """The message of a spectral ``grid-check`` whose ``flag`` is ``x1^2``."""
+    options = {"--s": "exp(i*x1) + exp(-i*x1)", "--a": "d1", "--b": "exp(i*x1)",
+               "--psi": "exp(i*x1)", flag: "x1^2"}
+    argv = ["grid-check", "--n", "32"] + [item for pair in options.items() for item in pair]
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    prefix = "invalid input: "
+    assert err.startswith(prefix) and err.endswith("\n")
+    return err[len(prefix):-1]
+
+
+_SPEC32 = GridSpec(32)
+_FLOW32 = dict(t_final=0.01, steps=2, spec=_SPEC32)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        pytest.param(lambda: discretize(mult(X1_SQUARED) * partial_d(1), _SPEC32),
+                     id="discretize-coefficient"),
+        pytest.param(lambda: matrix_bracket(X1_SQUARED, partial_d(1), mult(E_IX), _SPEC32,
+                                            "geomutator"), id="matrix_bracket-geomutator-s"),
+        pytest.param(lambda: matrix_bracket(X1_SQUARED, partial_d(1), mult(E_IX), _SPEC32,
+                                            "qcpb"), id="matrix_bracket-qcpb-s"),
+        pytest.param(lambda: compare(partial_d(1), discretize(partial_d(1), _SPEC32),
+                                     X1_SQUARED), id="compare-psi"),
+        pytest.param(lambda: evolve(X1_SQUARED, partial_d(1), partial_d(1), psi=E_IX,
+                                    **_FLOW32), id="evolve-s"),
+        pytest.param(lambda: evolve(cos_of(1), partial_d(1), partial_d(1), psi=X1_SQUARED,
+                                    **_FLOW32), id="evolve-psi"),
+        pytest.param("--a", id="cli-a"),
+        pytest.param("--s", id="cli-s"),
+        pytest.param("--psi", id="cli-psi"),
+    ],
+)
+def test_every_entry_point_states_the_periodicity_rule_alike(capsys, entry):
+    """A call, or the ``grid-check`` flag that carries ``x1^2``."""
+    if isinstance(entry, str):
+        message = _grid_check_refusal(capsys, entry)
+    else:
+        with pytest.raises(NonPeriodicCoefficient) as refusal:
+            entry()
+        message = str(refusal.value)
+    assert message == non_periodic_message("x1^2")
 
 
 @pytest.mark.parametrize(
@@ -286,6 +361,41 @@ def test_flow_takes_eight_products_per_step_and_none_per_sample(monkeypatch, law
     assert len(result.times) == 101
     assert isinstance(result.final.matrix, _ProductCountingMatrix)
     assert _ProductCountingMatrix.products == 8 * 200
+
+
+@pytest.mark.parametrize("law", LAWS)
+@pytest.mark.parametrize("role", ["s", "psi"])
+def test_spectral_evolve_refuses_non_periodic_s_or_psi_before_discretizing(
+    monkeypatch, role, law
+):
+    def no_discretize(*args, **kwargs):
+        pytest.fail("an operator was discretized before s and psi were checked")
+
+    monkeypatch.setattr(grid_module, "discretize", no_discretize)
+    inputs = {"s": cos_of(1), "psi": E_IX, role: X1_SQUARED}
+    with pytest.raises(NonPeriodicCoefficient) as refusal:
+        evolve(inputs["s"], _kinetic_plus_cosine(), mult(cos_of(1)), psi=inputs["psi"],
+               law=law, **_FLOW32)
+    assert str(refusal.value) == non_periodic_message("x1^2")
+
+
+@pytest.mark.parametrize("law", LAWS)
+@pytest.mark.parametrize("role", ["hamiltonian", "f0"])
+def test_spectral_evolve_refuses_non_periodic_operators(role, law):
+    operators = {"hamiltonian": _kinetic_plus_cosine(), "f0": mult(cos_of(1)),
+                 role: mult(X1_SQUARED)}
+    with pytest.raises(NonPeriodicCoefficient) as refusal:
+        evolve(cos_of(1), operators["hamiltonian"], operators["f0"], psi=E_IX,
+               law=law, **_FLOW32)
+    assert str(refusal.value) == non_periodic_message("x1^2")
+
+
+def test_spectral_evolve_refuses_a_polynomial_flow():
+    """This flow once ran and read the expectation 2.3e8 + 1.4e8i."""
+    with pytest.raises(NonPeriodicCoefficient) as refusal:
+        evolve(X1_SQUARED, partial_d(1, 0, 2).scaled(-1), partial_d(1),
+               psi=coord(1, 0), **_FLOW32)
+    assert str(refusal.value) == non_periodic_message("x1^2")
 
 
 def test_growth_of_a_zero_operator_is_zero():
