@@ -10,11 +10,12 @@ invalid input (argparse usage errors included, such as a ``--dim``,
 negative or not finite; also a rational with a zero denominator, an
 expression nested deeper than ``parsing.MAX_DEPTH`` (100) levels, a
 ``--J`` file that is not a JSON list of rows, a ``--psi`` that vanishes on
-every grid point, and, under ``spectral``, a ``grid-check`` function that
-is not 2*pi-periodic, refused with a message that names it:
-``grid-check`` parses every expression and checks ``--psi`` before it
-builds a matrix, and ``--s`` (which ``--kind qpb`` does not use) before
-it discretizes; an ``oscillator --csv`` path that cannot be
+every grid point, and a ``grid-check`` function that is not
+2*pi-periodic, refused with a message that names it: ``grid-check``
+always compares on a ``spectral`` grid, parses every expression, and
+checks ``--psi`` before it builds a matrix, ``--s`` (which ``--kind qpb``
+does not use) before it discretizes, and ``--a`` and ``--b`` before the
+exact bracket is computed; an ``oscillator --csv`` path that cannot be
 written, refused before the flow and without creating a file), 3 dimension
 error, 4 tolerance/verification failure, 5 internal error (a bug).  A
 closed stdout (the reader of a pipe exited early, as in ``geobracket
@@ -141,7 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     grid_check.add_argument("--a", required=True)
     grid_check.add_argument("--b", required=True)
     grid_check.add_argument("--n", type=int, default=256)
-    grid_check.add_argument("--scheme", choices=grid_mod.SCHEMES, default="spectral")
     grid_check.add_argument("--kind", choices=grid_mod.KINDS, default="qcpb")
     grid_check.add_argument("--tol", type=_tolerance, default=1e-8)
     grid_check.add_argument("--psi", default="exp(i*x1)")
@@ -321,15 +321,16 @@ def cmd_grid_check(args) -> int:
     a = parse_operator(args.a, dim=1, structure_fn=s)
     b = parse_operator(args.b, dim=1, structure_fn=s)
     psi = parse_function(args.psi, dim=1)
-    spec = grid_mod.GridSpec(args.n, args.scheme)
+    spec = grid_mod.GridSpec(args.n)
     grid_mod.state(psi, spec)  # refuse a bad state before matrix work
+    # matrix_bracket samples s, a and b: non-periodic input costs no exact bracket
+    numeric = grid_mod.matrix_bracket(s, a, b, spec, args.kind)
     if args.kind == "qpb":
         symbolic = commutator(a, b)
     elif args.kind == "geomutator":
         symbolic = geomutator(s, a, b)
     else:
         symbolic = qcpb(s, a, b).total
-    numeric = grid_mod.matrix_bracket(s, a, b, spec, args.kind)
     report = grid_mod.compare(symbolic, numeric, psi, args.tol)
     fields, lines = _render([("symbolic", f"symbolic {args.kind}: ", symbolic)])
     lines += [

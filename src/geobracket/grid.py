@@ -12,21 +12,22 @@ enters the oracle through ``sample``, and nowhere else.  Under ``spectral``
 2*pi-periodic data) ``sample`` refuses a function that is not
 2*pi-periodic with ``NonPeriodicCoefficient``, naming it in DSL form;
 ``central2``, the second-order central difference ``(f[i+1] - f[i-1]) /
-(2h)``, accepts polynomial data at the cost of accuracy, and its
-comparisons exclude an ``n/8``-point band at each end of the domain seam.
-``state`` samples a ``psi`` and also refuses, with ``ValueError``, one that
-vanishes on every grid point, since expectations and relative residuals
-divide by its norm.  ``matrix_bracket`` and ``evolve`` sample ``s``, and
-``compare`` and ``evolve`` sample ``psi``, before they discretize anything,
-so such input is refused before any dense work.
+(2h)``, accepts polynomial data at the cost of accuracy and serves flows
+and ``discretize``; ``compare`` refuses it, since a difference matrix
+breaks the product rule that every ``[s, .]`` term relies on.  ``state``
+samples a ``psi`` and also refuses, with ``ValueError``, one that vanishes
+on every grid point, since expectations and relative residuals divide by
+its norm.  ``matrix_bracket`` and ``evolve`` sample ``s``, and ``compare``
+and ``evolve`` sample ``psi``, before they discretize anything, so such
+input is refused before any dense work.
 
 Size budget: a grid has at most ``MAX_POINTS`` (2048) points, since every
 operator is a dense n x n complex matrix (64 MiB at the cap); larger sizes
 are rejected with ``ValueError`` before anything is allocated.
 
 A coefficient or structure function is a multiplication operator, so it
-stays a vector of samples and scales rows or columns instead of taking part
-in a dense product; each ``GridSpec`` caches its derivative powers.
+stays a vector of samples instead of taking part in a dense product; each
+``GridSpec`` caches its derivative powers.
 """
 
 from __future__ import annotations
@@ -165,8 +166,7 @@ def sample(f: CoefFn, spec: GridSpec) -> np.ndarray:
         for nu, kappa in f.terms
     ):
         raise NonPeriodicCoefficient(
-            f"spectral scheme requires 2*pi-periodic data, got {f}; "
-            "use scheme='central2' for polynomial data"
+            f"spectral scheme requires 2*pi-periodic data, got {f}"
         )
     x = spec.points()
     values = np.zeros(spec.n_points, dtype=complex)
@@ -219,22 +219,9 @@ def discretize(op: DiffOp, spec: GridSpec) -> GridOp:
     return GridOp(out, spec)
 
 
-# The in-place updates below give the same rounding as the plain
-# expressions while holding one fewer n x n temporary.
-
-
-def _comm_diag(s: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``[diag(s), b]`` by row and column scaling."""
-    out = s[:, None] * b
-    out -= b * s[None, :]
-    return out
-
-
-def _plus_comm_diag(s: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``b + [diag(s), b]``."""
-    out = _comm_diag(s, b)
-    out += b
-    return out
+def _s_difference(s: np.ndarray) -> np.ndarray:
+    """``C[i, j] = s_i - s_j``, so that ``C * X`` is ``[diag(s), X]``."""
+    return s[:, None] - s[None, :]
 
 
 KINDS = ("qpb", "geomutator", "qcpb")
@@ -249,9 +236,10 @@ def matrix_bracket(
 ) -> GridOp:
     """Recompute a bracket with matrix products only.
 
-    ``s`` stays a vector of samples: each ``[s, .]`` is a row and column
-    scaling, so the dense products are only those with ``a`` and ``b``:
-    two for each kind, with ``qcpb`` as ``a (b + [s, b]) - b (a + [s, a])``.
+    Each ``[s, X]`` is ``C * X`` with ``C = _s_difference(s)``, so the dense
+    products are only those with ``a`` and ``b``: two for each kind, with
+    ``qcpb`` as ``a ((1 + C) * b) - b ((1 + C) * a)``; the one factor
+    matrix is scaled by ``a`` in place.
     An unknown ``kind`` is refused before anything is sampled, and ``s`` is
     sampled (so, under ``spectral``, checked) before any operator is
     discretized, except under ``qpb``, which does not use it.
@@ -265,11 +253,13 @@ def matrix_bracket(
     if kind == "qpb":
         out = a_mat @ b_mat
         out -= b_mat @ a_mat
-    elif kind == "geomutator":
-        out = a_mat @ _comm_diag(s_vec, b_mat) - b_mat @ _comm_diag(s_vec, a_mat)
-    else:
-        out = a_mat @ _plus_comm_diag(s_vec, b_mat)
-        out -= b_mat @ _plus_comm_diag(s_vec, a_mat)
+        return GridOp(out, spec)
+    factor = _s_difference(s_vec)
+    if kind == "qcpb":
+        factor += 1.0
+    out = a_mat @ (factor * b_mat)
+    factor *= a_mat
+    out -= b_mat @ factor
     return GridOp(out, spec)
 
 
@@ -323,37 +313,30 @@ def compare(
     """Relative agreement of ``discretize(symbolic)`` with a matrix.
 
     Reports the relative L2 defect of the action on ``psi`` and a relative
-    spectral-norm defect.  No differentiation matrix satisfies the product
-    rule on aliased modes, so under the spectral scheme the norm comparison
-    is restricted to the resolved band |k| <= n/4, where agreement is exact
-    to rounding; under central2 a boundary band of ``n/8`` points at each
-    end of the domain is excluded from the L2 residual instead (wraparound
-    pollutes the seam for non-periodic data).  ``psi`` enters through
+    spectral-norm defect.  Only a ``spectral`` grid is accepted; any other
+    scheme raises ``ValueError`` before anything is sampled.  No
+    differentiation matrix satisfies the product rule on aliased modes, so
+    the norm comparison is restricted to the resolved band |k| <= n/4,
+    where agreement is exact to rounding.  ``psi`` enters through
     ``state``, before ``symbolic`` is discretized: one that vanishes on
-    every grid point raises ``ValueError``, and under ``spectral`` one that
-    is not 2*pi-periodic raises ``NonPeriodicCoefficient``.
+    every grid point raises ``ValueError``, and one that is not
+    2*pi-periodic raises ``NonPeriodicCoefficient``.
 
     The band-limited norm is the 2-norm of the n x (n/2 + 1) matrix of the
-    resolved FFT columns (``_band_limited_norm``); no projector is formed.
-    Every 2-norm here, band-limited or full, comes from ``_norm2``, the
-    largest Gram eigenvalue, rather than from an SVD.
+    resolved FFT columns (``_band_limited_norm``); no projector is formed,
+    and the 2-norm is the largest Gram eigenvalue (``_norm2``), not an SVD.
     """
     spec = numeric.spec
+    if spec.scheme != "spectral":
+        raise ValueError(f"compare requires the spectral scheme, got {spec.scheme!r}")
     psi_vec = state(psi, spec)
     sym_mat = discretize(symbolic, spec).matrix
-    band = spec.n_points // 8 if spec.scheme == "central2" else 0
-    keep = slice(band, spec.n_points - band)
-    sym_action = (sym_mat @ psi_vec)[keep]
-    num_action = (numeric.matrix @ psi_vec)[keep]
+    sym_action = sym_mat @ psi_vec
+    num_action = numeric.matrix @ psi_vec
 
-    defect = sym_mat - numeric.matrix
-    if spec.scheme == "spectral":
-        resolved = spec.n_points // 4
-        op_scale = max(_band_limited_norm(sym_mat, resolved), 1.0)
-        spectral = _band_limited_norm(defect, resolved) / op_scale
-    else:
-        op_scale = max(_norm2(sym_mat), 1.0)
-        spectral = _norm2(defect) / op_scale
+    resolved = spec.n_points // 4
+    op_scale = max(_band_limited_norm(sym_mat, resolved), 1.0)
+    spectral = _band_limited_norm(sym_mat - numeric.matrix, resolved) / op_scale
 
     # Scale the action defect by the larger of the action itself and the
     # operator scale applied to psi, so tiny-norm totals do not inflate it.
@@ -443,7 +426,7 @@ def evolve(
     psi_norm2 = float(np.real(np.vdot(psi_vec, psi_vec)))
 
     scale = -1j / float(hbar)  # 1/(i hbar)
-    plus_s = 1.0 + (s_vec[:, None] - s_vec[None, :])
+    plus_s = 1.0 + _s_difference(s_vec)
     rate = _stage_rate(h_mat, plus_s, scale, law == "covariant")
 
     dt = t_final / steps

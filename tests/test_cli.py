@@ -9,6 +9,7 @@ import tracemalloc
 from random import Random
 
 import pytest
+from refusals import non_periodic_message
 
 from geobracket import cli, grid, printing
 from geobracket.cli import build_parser, main
@@ -331,7 +332,7 @@ def _seeded_requests(seed):
     # The loose --tol lets every comparison pass: only the strings are read.
     return [
         ["grid-check", f"--s={s}", f"--a={a}", f"--b={b}", "--n", "32", "--kind", kind,
-         "--scheme", rng.choice(("spectral", "central2")), "--tol", "1e9"],
+         "--tol", "1e9"],
         ["oscillator", f"--s={flow_s}", "--grid", "16", "--t", "0.1", "--steps", "5",
          "--law", rng.choice(("generalized_heisenberg", "covariant"))],
     ]
@@ -540,8 +541,7 @@ def test_outside_input_exits_2(capsys, argv, message):
     [
         ("((", "parse error: unexpected end of input (line 1, column 3); "
                "expected one of: number, identifier, ("),
-        ("x1", "invalid input: spectral scheme requires 2*pi-periodic data, got x1; "
-               "use scheme='central2' for polynomial data"),
+        ("x1", "invalid input: " + non_periodic_message("x1")),
         ("0", "invalid input: the state psi vanishes on every grid point"),
     ],
     ids=["syntax", "non-periodic", "zero"],
@@ -569,11 +569,36 @@ def test_grid_check_refuses_non_periodic_s_before_discretizing(capsys, monkeypat
     code, out, err = run_cli(
         capsys, "grid-check", "--s", s, "--a", "d1", "--b", "exp(i*x1)", "--kind", kind,
     )
-    message = (
-        f"invalid input: spectral scheme requires 2*pi-periodic data, got {s}; "
-        "use scheme='central2' for polynomial data"
+    assert (code, out, err) == (2, "", f"invalid input: {non_periodic_message(s)}\n")
+
+
+@pytest.mark.parametrize("kind", ["qpb", "geomutator", "qcpb"])
+@pytest.mark.parametrize("flag", ["--a", "--b"])
+def test_grid_check_refuses_non_periodic_operand_before_the_exact_bracket(
+    capsys, monkeypatch, flag, kind
+):
+    def no_exact_bracket(*args, **kwargs):
+        pytest.fail("the exact bracket was computed before the operands were checked")
+
+    for name in ("commutator", "geomutator", "qcpb"):
+        monkeypatch.setattr(cli, name, no_exact_bracket)
+    operands = {"--a": "d1", "--b": "exp(i*x1)", flag: "x1*d1"}
+    code, out, err = run_cli(
+        capsys, "grid-check", "--s", "exp(i*x1) + exp(-i*x1)", "--kind", kind,
+        *(item for pair in operands.items() for item in pair),
     )
-    assert (code, out, err) == (2, "", message + "\n")
+    assert (code, out, err) == (2, "", f"invalid input: {non_periodic_message('x1')}\n")
+
+
+def test_grid_check_has_no_scheme_option(capsys):
+    with pytest.raises(SystemExit):
+        main(["grid-check", "--help"])
+    assert "--scheme" not in capsys.readouterr().out
+    code, err = _usage_error(
+        capsys, "grid-check", "--s", "0", "--a", "d1", "--b", "x1", "--scheme", "spectral",
+    )
+    assert code == 2
+    assert "unrecognized arguments: --scheme spectral" in err
 
 
 def test_grid_check_qpb_ignores_a_polynomial_s(capsys):

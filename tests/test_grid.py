@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from refusals import non_periodic_message
 from scipy.linalg import expm
 
 from geobracket.brackets import geomutator, qcpb
@@ -43,14 +44,6 @@ from geobracket.scalars import ComplexRational
 I = ComplexRational(0, 1)
 E_IX = exponential(1, (I,))
 X1_SQUARED = monomial(1, (2,))
-
-
-def non_periodic_message(name):
-    """The one refusal of data that is not 2*pi-periodic under ``spectral``."""
-    return (
-        f"spectral scheme requires 2*pi-periodic data, got {name}; "
-        "use scheme='central2' for polynomial data"
-    )
 
 
 def test_spec_validation():
@@ -249,6 +242,18 @@ def test_compare_detects_injected_fault():
     assert report.l2_residual >= 1e-4
     assert report.spectral_residual >= 1e-4
     assert not report.passed
+
+
+def test_compare_refuses_central2_before_sampling(monkeypatch):
+    def no_sampling(*args, **kwargs):
+        pytest.fail("an input was sampled before the scheme was checked")
+
+    numeric = discretize(partial_d(1), GridSpec(64, "central2"))
+    monkeypatch.setattr(grid_module, "sample", no_sampling)
+    monkeypatch.setattr(grid_module, "discretize", no_sampling)
+    with pytest.raises(ValueError) as refusal:
+        compare(partial_d(1), numeric, E_IX)
+    assert str(refusal.value) == "compare requires the spectral scheme, got 'central2'"
 
 
 def test_compare_requires_periodic_state():
