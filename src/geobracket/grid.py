@@ -25,9 +25,9 @@ Size budget: a grid has at most ``MAX_POINTS`` (2048) points, since every
 operator is a dense n x n complex matrix (64 MiB at the cap); larger sizes
 are rejected with ``ValueError`` before anything is allocated.
 
-A coefficient or structure function is a multiplication operator, so it
-stays a vector of samples instead of taking part in a dense product; each
-``GridSpec`` caches its derivative powers.
+Every ``D^k`` is built by ``derivative_matrix(spec, k)`` and cached per
+spec.  A coefficient or structure function is a multiplication operator,
+so it stays a vector of samples instead of taking part in a dense product.
 """
 
 from __future__ import annotations
@@ -81,27 +81,15 @@ class GridSpec:
 
     @cached_property
     def _derivative_powers(self) -> dict:
-        """``D^k`` by order, filled on demand; ``D`` is built once per spec."""
-        d1 = derivative_matrix(self)
-        d1.setflags(write=False)
-        return {1: d1}
+        """``D^k`` by order, filled on demand by ``derivative_power``."""
+        return {}
 
     def derivative_power(self, order: int) -> np.ndarray:
-        """Read-only ``D^order``, computed at most once for this spec.
-
-        Under ``spectral`` this is the circulant whose first column is
-        ``ifft((i k)^order)``, with the wavenumbers and Nyquist convention of
-        ``derivative_matrix``: O(n log n + n^2) work, and it equals
-        ``matrix_power(D, order)`` to rounding.  Under ``central2`` it is
-        ``matrix_power(D, order)`` itself, bitwise.
-        """
+        """Read-only ``derivative_matrix(self, order)``, built at most once
+        for this spec."""
         powers = self._derivative_powers
         if order not in powers:
-            if self.scheme == "spectral":
-                symbol = (1j * _wavenumbers(self.n_points)) ** order
-                power = _circulant(np.fft.ifft(symbol))
-            else:
-                power = np.linalg.matrix_power(powers[1], order)
+            power = derivative_matrix(self, order)
             power.setflags(write=False)
             powers[order] = power
         return powers[order]
@@ -125,29 +113,28 @@ def _circulant(column: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(sliding_window_view(reversed_twice, n)[n - 1 :: -1])
 
 
-def derivative_matrix(spec: GridSpec) -> np.ndarray:
-    """First-derivative matrix for the scheme; higher orders are its powers.
-
-    The spectral matrix is ``ifft . diag(i k) . fft`` with integer
-    wavenumbers ``k in {-n/2+1, ..., n/2}``: anti-Hermitian, exact on
-    resolved modes, and with the Nyquist mode assigned ``+n/2`` so that its
-    powers carry the full symbol ``(i k)^order`` (zeroing the Nyquist would
-    misplace that mode's frequency in every even-order derivative).
+def derivative_matrix(spec: GridSpec, order: int = 1) -> np.ndarray:
+    """The scheme's ``D^order``, where ``D`` differentiates once.
 
     Both schemes are circulant, ``D[i, j] = c[(i - j) % n]``, so each is
-    built from its first column ``c``: ``ifft(i k)`` for ``spectral`` and
-    ``+-1/(2h)`` at the two neighbours for ``central2``, whose stencil is
-    the central difference ``(f[i+1] - f[i-1]) / (2h)``.
+    built from a first column ``c``.  Under ``spectral`` ``D^order`` is
+    ``ifft . diag((i k)^order) . fft``, the circulant of ``ifft((i
+    k)^order)``, with integer wavenumbers ``k in {-n/2+1, ..., n/2}``:
+    O(n log n + n^2) work, and ``D`` is anti-Hermitian and exact on
+    resolved modes.  The Nyquist mode is assigned ``+n/2`` so that every
+    order carries the full symbol (zeroing it would misplace that mode's
+    frequency in every even-order derivative).  Under ``central2`` ``D`` has
+    ``+-1/(2h)`` at the two neighbours, the central difference ``(f[i+1] -
+    f[i-1]) / (2h)``, and ``D^order`` is its matrix power.
     """
     n = spec.n_points
     if spec.scheme == "spectral":
-        column = np.fft.ifft(1j * _wavenumbers(n))
-    else:
-        column = np.zeros(n)
-        column[1] -= 1.0
-        column[-1] += 1.0
-        column /= 2.0 * spec.spacing
-    return _circulant(column)
+        return _circulant(np.fft.ifft((1j * _wavenumbers(n)) ** order))
+    column = np.zeros(n)
+    column[1] -= 1.0
+    column[-1] += 1.0
+    column /= 2.0 * spec.spacing
+    return np.linalg.matrix_power(_circulant(column), order)
 
 
 def sample(f: CoefFn, spec: GridSpec) -> np.ndarray:
@@ -279,29 +266,21 @@ class ComparisonReport:
         )
 
 
-def _norm2(x: np.ndarray) -> float:
-    """Spectral norm ``sqrt(lambda_max(X^H X))`` from the smaller Gram matrix.
-
-    The largest eigenvalue of the Hermitian Gram matrix is the squared
-    largest singular value, so no SVD is needed; it is clamped at 0, so an
-    exactly zero matrix gives exactly 0.0.
-    """
-    if x.shape[0] < x.shape[1]:
-        x = x.T
-    gram = x.conj().T @ x
-    return math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
-
-
-def _band_limited_norm(x: np.ndarray, band: int) -> float:
-    """``||x P||_2`` for the projector ``P`` onto Fourier modes |k| <= band.
+def _band_limited_norm(x: np.ndarray) -> float:
+    """``||x P||_2`` for the projector ``P`` onto the resolved Fourier modes
+    |k| <= n/4.
 
     ``P = Q^H M Q`` with ``Q`` the unitary DFT and ``M`` the 0/1 mode mask,
     so ``||x P||_2 = ||x Q^H M||_2``; the columns of ``x Q^H`` are
-    ``sqrt(n) * ifft(x, axis=1)``, and only the masked ones are kept.
+    ``sqrt(n) * ifft(x, axis=1)``, and only the masked ones are kept.  The
+    2-norm of that n x (n/2 + 1) matrix is the square root of the largest
+    eigenvalue of its Gram matrix, not an SVD; it is clamped at 0, so an
+    exactly zero matrix gives exactly 0.0.
     """
     n = x.shape[1]
-    columns = np.fft.ifft(x, axis=1)[:, np.abs(_wavenumbers(n)) <= band]
-    return math.sqrt(n) * _norm2(columns)
+    columns = np.fft.ifft(x, axis=1)[:, np.abs(_wavenumbers(n)) <= n // 4]
+    gram = columns.conj().T @ columns
+    return math.sqrt(n) * math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
 
 
 def compare(
@@ -321,10 +300,6 @@ def compare(
     ``state``, before ``symbolic`` is discretized: one that vanishes on
     every grid point raises ``ValueError``, and one that is not
     2*pi-periodic raises ``NonPeriodicCoefficient``.
-
-    The band-limited norm is the 2-norm of the n x (n/2 + 1) matrix of the
-    resolved FFT columns (``_band_limited_norm``); no projector is formed,
-    and the 2-norm is the largest Gram eigenvalue (``_norm2``), not an SVD.
     """
     spec = numeric.spec
     if spec.scheme != "spectral":
@@ -334,9 +309,8 @@ def compare(
     sym_action = sym_mat @ psi_vec
     num_action = numeric.matrix @ psi_vec
 
-    resolved = spec.n_points // 4
-    op_scale = max(_band_limited_norm(sym_mat, resolved), 1.0)
-    spectral = _band_limited_norm(sym_mat - numeric.matrix, resolved) / op_scale
+    op_scale = max(_band_limited_norm(sym_mat), 1.0)
+    spectral = _band_limited_norm(sym_mat - numeric.matrix) / op_scale
 
     # Scale the action defect by the larger of the action itself and the
     # operator scale applied to psi, so tiny-norm totals do not inflate it.

@@ -251,7 +251,9 @@ class _Parser:
 
     def identifier(self) -> tuple:
         token = self.advance()
-        name, digits = _IDENT_RE.match(token.text).groups()
+        match = _IDENT_RE.match(token.text)
+        # A letter after the digits (``x1a``) names nothing below.
+        name, digits = match.groups() if match else (token.text, "")
         if name == "i" and not digits:
             return Scalar(I), 0
         if name == "s" and not digits:

@@ -368,6 +368,13 @@ def test_unknown_identifier_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("name", ["x1a", "d2x", "a0a"])
+def test_letters_after_digits_exit_2(capsys, name):
+    code, out, err = run_cli(capsys, "bracket", "--s", "0", "--a", name, "--b", "x1")
+    assert (code, out) == (2, "")
+    assert f"unknown identifier '{name}'" in err
+
+
 def test_dimension_error_exits_3(capsys):
     code, _, err = run_cli(
         capsys, "bracket", "--s", "0", "--a", "x2", "--b", "x1", "--dim", "1"

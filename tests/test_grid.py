@@ -22,7 +22,6 @@ from geobracket.grid import (
     MAX_POINTS,
     GridSpec,
     _band_limited_norm,
-    _norm2,
     compare,
     derivative_matrix,
     discretize,
@@ -591,17 +590,25 @@ def test_band_limited_norm_matches_projector(n):
     rng = np.random.default_rng(n)
     x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     expected = np.linalg.norm(x @ _old_band_projector(n, n // 4), 2)
-    assert np.isclose(_band_limited_norm(x, n // 4), expected, rtol=1e-13, atol=0)
+    assert np.isclose(_band_limited_norm(x), expected, rtol=1e-13, atol=0)
+
+
+def _count_builds(monkeypatch):
+    """Record the arguments, ``(spec, order)``, of each ``derivative_matrix`` call."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return derivative_matrix(*args)
+
+    monkeypatch.setattr(grid_module, "derivative_matrix", counting)
+    return calls
 
 
 def test_one_spec_builds_the_derivative_matrix_once(monkeypatch):
-    calls = []
-
-    def counting(spec):
-        calls.append(spec)
-        return derivative_matrix(spec)
-
-    monkeypatch.setattr(grid_module, "derivative_matrix", counting)
+    # Once per (spec, order) used: a and b use orders 1 and 2, and so does
+    # the bracket's total.
+    calls = _count_builds(monkeypatch)
     spec = GridSpec(64)
     s = cos_of(1)
     a = mult(E_IX).scaled(-I) * partial_d(1)
@@ -609,7 +616,14 @@ def test_one_spec_builds_the_derivative_matrix_once(monkeypatch):
     discretize(a, spec)
     numeric = matrix_bracket(s, a, b, spec, "qcpb")
     compare(qcpb(s, a, b).total, numeric, E_IX, 1e-8)
-    assert len(calls) == 1
+    assert calls == [(spec, 1), (spec, 2)]
+
+
+def test_spectral_second_order_operator_builds_only_its_order(monkeypatch):
+    calls = _count_builds(monkeypatch)
+    spec = GridSpec(64)
+    discretize(mult(E_IX) * partial_d(1, 0, 2), spec)
+    assert calls == [(spec, 2)]
 
 
 def test_cached_derivative_powers_are_read_only():
@@ -631,7 +645,7 @@ def test_grid_spec_equality_and_hash_ignore_the_cache():
     assert GridSpec(64) != cold
 
 
-# -- spectral derivative powers, the 2-norm helper, and the flow loop ----------
+# -- spectral derivative powers, the band-limited norm, and the flow loop --
 
 
 @pytest.mark.parametrize("n", [16, 256, 1024])
@@ -671,18 +685,8 @@ def test_central2_derivative_powers_are_matrix_powers_bitwise(n):
         assert spec.derivative_power(order).tobytes() == reference.tobytes()
 
 
-@pytest.mark.parametrize("n", [64, 256])
-def test_norm2_matches_svd_norm(n):
-    rng = np.random.default_rng(n + 1)
-    for shape in ((n, n), (n, n // 2 + 1), (n // 2 + 1, n)):
-        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        assert np.isclose(_norm2(x), np.linalg.norm(x, 2), rtol=1e-12, atol=0)
-
-
-def test_norm2_of_zero_is_exactly_zero():
-    assert _norm2(np.zeros((64, 64), dtype=complex)) == 0.0
-    assert _norm2(np.zeros((64, 33), dtype=complex)) == 0.0
-    assert _band_limited_norm(np.zeros((64, 64), dtype=complex), 16) == 0.0
+def test_band_limited_norm_of_zero_is_exactly_zero():
+    assert _band_limited_norm(np.zeros((64, 64), dtype=complex)) == 0.0
 
 
 def _reference_evolve(

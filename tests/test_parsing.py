@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geobracket.errors import DimensionMismatch, ExprSyntaxError
 from geobracket.functions import exponential, monomial, one
@@ -17,6 +18,7 @@ from geobracket.operators import (
 from geobracket.parsing import (
     MAX_DEPTH,
     Scalar,
+    max_axis,
     parse,
     parse_function,
     parse_operator,
@@ -112,6 +114,23 @@ def test_unknown_identifier():
         parse("x1 + foo")
     assert "foo" in str(excinfo.value)
     assert excinfo.value.column == 6
+
+
+@pytest.mark.parametrize("name", ["x1a", "d2x", "a0a"])
+def test_letters_after_digits_are_an_unknown_identifier(name):
+    with pytest.raises(ExprSyntaxError, match=f"unknown identifier '{name}'") as excinfo:
+        parse(f"x1 + {name}")
+    assert excinfo.value.column == 6
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(st.text(alphabet="xdesip0123456789/+-*^() a", max_size=24))
+def test_parse_returns_a_node_or_raises_a_syntax_error(text):
+    try:
+        node = parse(text)
+    except ExprSyntaxError:
+        return
+    assert max_axis(node) >= -1
 
 
 def test_juxtaposition_is_not_multiplication():
