@@ -25,7 +25,7 @@ q = coord(size, 0)
 p = coord(size, 1)
 
 # Classical oscillator H = p^2/2 + q^2/2 with structure function s = q^2.
-hamiltonian = p * p * Fraction(1, 2) + q * q * Fraction(1, 2)
+hamiltonian = (p * p + q * q).scaled(Fraction(1, 2))
 s = monomial(size, (2, 0))
 
 print(f"H = {hamiltonian}")

@@ -31,7 +31,6 @@ from .errors import (
     NonPeriodicCoefficient,
     NonPolynomialPhaseFunction,
     NonRealStructureFunction,
-    ToleranceExceeded,
 )
 from .functions import (
     CoefFn,

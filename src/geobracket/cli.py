@@ -10,14 +10,18 @@ invalid input (argparse usage errors included, such as a ``--dim``,
 negative or not finite; also a rational with a zero denominator, an
 expression nested deeper than ``parsing.MAX_DEPTH`` (100) levels, a
 ``--J`` file that is not a JSON list of rows, a ``--psi`` that vanishes on
-every grid point, and a ``grid-check`` function that is not
-2*pi-periodic, refused with a message that names it: ``grid-check``
-always compares on a ``spectral`` grid, parses every expression, and
-checks ``--psi`` before it builds a matrix, ``--s`` (which ``--kind qpb``
-does not use) before it discretizes, and ``--a`` and ``--b`` before the
-exact bracket is computed; an ``oscillator --csv`` path that cannot be
-written, refused before the flow and without creating a file), 3 dimension
-error, 4 tolerance/verification failure, 5 internal error (a bug).  A
+every grid point, a grid function whose samples are not finite doubles
+or a ``--psi`` whose squared norm is not, an ``oscillator --hbar`` whose
+inverse is 0 or not finite as a double, a flow that diverges, and a
+``grid-check`` function that is not 2*pi-periodic, refused with a message
+that names it: ``grid-check`` always compares on a ``spectral`` grid,
+parses every expression, and checks ``--psi`` before it builds a matrix,
+``--s`` (which ``--kind qpb`` does not use) for realness before it builds
+a matrix and for periodicity before it discretizes, and ``--a`` and
+``--b`` before the exact bracket is computed; an ``oscillator --csv``
+path that cannot be written, refused before the flow and without
+creating a file), 3 dimension error, 4 tolerance/verification failure
+(``grid-check`` writes its report first), 5 internal error (a bug).  A
 closed stdout (the reader of a pipe exited early, as in ``geobracket
 verify --json | head``) is not an error: the command stops writing and
 exits with its own code and its own stderr message, 0 and nothing when it
@@ -32,9 +36,9 @@ for the next.
 
 Each command lists its symbolic results once, as ``(JSON key, text label,
 value)`` rows; ``_render`` turns every value into its string once, and that
-string feeds both the text line and the ``--json`` field.  Commands print
-only through ``_emit``, which writes one of the two forms, flushes it, and
-is the one place that handles a closed stdout.
+string feeds both the text line and the ``--json`` field.  Commands write
+to stdout only through ``_emit``, which writes one of the two forms,
+flushes it, and is the one place that handles a closed stdout.
 """
 
 from __future__ import annotations
@@ -50,9 +54,9 @@ import sys
 from fractions import Fraction
 
 from . import grid as grid_mod
-from .brackets import geomutator, qcpb
+from .brackets import _check, geomutator, qcpb
 from .classical import StructureMatrix, dynamics_rhs, gpb, gspb
-from .errors import DimensionMismatch, ExprSyntaxError, ToleranceExceeded
+from .errors import DimensionMismatch, ExprSyntaxError
 from .operators import commutator, momentum, position
 from .parsing import as_function, lower, max_axis, parse, parse_function, parse_operator
 from .quantum import (
@@ -323,6 +327,8 @@ def cmd_grid_check(args) -> int:
     psi = parse_function(args.psi, dim=1)
     spec = grid_mod.GridSpec(args.n)
     grid_mod.state(psi, spec)  # refuse a bad state before matrix work
+    if args.kind != "qpb":
+        _check(s)  # and a non-real s
     # matrix_bracket samples s, a and b: non-periodic input costs no exact bracket
     numeric = grid_mod.matrix_bracket(s, a, b, spec, args.kind)
     if args.kind == "qpb":
@@ -349,9 +355,9 @@ def cmd_grid_check(args) -> int:
     }
     _emit(payload, args.json, lines)
     if not report.passed:
-        raise ToleranceExceeded(
-            f"residuals exceed tolerance {report.tolerance:g}"
-        )
+        print(f"tolerance failure: residuals exceed tolerance {report.tolerance:g}",
+              file=sys.stderr)
+        return 4
     return 0
 
 
@@ -423,9 +429,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
-    except ToleranceExceeded as exc:
-        print(f"tolerance failure: {exc}", file=sys.stderr)
-        return 4
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)
         return 5

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every class is a ``ValueError``: each refuses an input and none marks a
+bug.  The command line exits 3 on ``DimensionMismatch`` and 2 on the rest.
+"""
 
 
 class DimensionMismatch(ValueError):
@@ -17,12 +21,9 @@ class NonPeriodicCoefficient(ValueError):
     """A coefficient is not 2*pi-periodic, so the spectral scheme rejects it."""
 
 
-class ToleranceExceeded(RuntimeError):
-    """A numerical comparison exceeded its configured tolerance."""
-
-
-class EvolutionDiverged(RuntimeError):
-    """Time integration produced non-finite values."""
+class EvolutionDiverged(ValueError):
+    """Time integration produced non-finite values: the step is too large
+    for the operator, or the flow leaves double precision."""
 
 
 class ExprSyntaxError(ValueError):

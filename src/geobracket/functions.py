@@ -47,8 +47,7 @@ class TermMap:
     Invariants: no stored zero coefficients, unique keys, each checked by
     the subclass's ``_check_term``.  Values are immutable by convention;
     every operation returns a new instance.  ``+`` and ``-`` combine a term
-    map only with one of its own class; a scalar enters through ``scaled``
-    (or, for a ``CoefFn``, ``f * scalar``).
+    map only with one of its own class; a scalar enters through ``scaled``.
     """
 
     dim: int
@@ -126,8 +125,6 @@ class CoefFn(TermMap):
     # -- ring operations ---------------------------------------------------
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, ComplexRational)):
-            return self.scaled(other)
         if not isinstance(other, CoefFn):
             return NotImplemented
         self._check_dim(other)

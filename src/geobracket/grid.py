@@ -14,12 +14,17 @@ enters the oracle through ``sample``, and nowhere else.  Under ``spectral``
 ``central2``, the second-order central difference ``(f[i+1] - f[i-1]) /
 (2h)``, accepts polynomial data at the cost of accuracy and serves flows
 and ``discretize``; ``compare`` refuses it, since a difference matrix
-breaks the product rule that every ``[s, .]`` term relies on.  ``state``
+breaks the product rule that every ``[s, .]`` term relies on.  ``sample``
+is also the only place where an exact function becomes doubles: under
+either scheme it refuses, with ``ValueError`` naming the function, one
+whose samples are not finite, and no numpy warning escapes it.  ``state``
 samples a ``psi`` and also refuses, with ``ValueError``, one that vanishes
-on every grid point, since expectations and relative residuals divide by
-its norm.  ``matrix_bracket`` and ``evolve`` sample ``s``, and ``compare``
-and ``evolve`` sample ``psi``, before they discretize anything, so such
-input is refused before any dense work.
+on every grid point or whose ``||psi||^2`` leaves double precision, since
+expectations and relative residuals divide by it; ``evolve`` refuses an
+``hbar`` whose ``1/hbar`` is 0 or not finite as a double.
+``matrix_bracket`` and ``evolve`` sample ``s``, and ``compare`` and
+``evolve`` sample ``psi``, before they discretize anything, so such input
+is refused before any dense work.
 
 Size budget: a grid has at most ``MAX_POINTS`` (2048) points, since every
 operator is a dense n x n complex matrix (64 MiB at the cap); larger sizes
@@ -32,6 +37,7 @@ so it stays a vector of samples instead of taking part in a dense product.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -144,7 +150,9 @@ def sample(f: CoefFn, spec: GridSpec) -> np.ndarray:
     plane wave ``exp(i k x)`` with integer ``k``: a monomial factor, a real
     frequency or a fractional one raises ``NonPeriodicCoefficient``, which
     names ``f``, since Fourier differentiation is exact only on
-    2*pi-periodic data.
+    2*pi-periodic data.  Under either scheme, samples that are not finite
+    doubles (a coefficient beyond double range, or ``exp`` or ``x^nu``
+    overflowing) raise ``ValueError``, which names ``f``.
     """
     if f.dim != 1:
         raise DimensionMismatch("grid sampling requires 1-D functions")
@@ -157,24 +165,34 @@ def sample(f: CoefFn, spec: GridSpec) -> np.ndarray:
         )
     x = spec.points()
     values = np.zeros(spec.n_points, dtype=complex)
-    for (nu, kappa), coeff in f.terms.items():
-        term = np.full(spec.n_points, coeff.to_complex())
-        if nu[0]:
-            term = term * x ** nu[0]
-        freq = kappa[0].to_complex()
-        if freq:
-            term = term * np.exp(freq * x)
-        values += term
+    try:
+        with np.errstate(all="ignore"):
+            for (nu, kappa), coeff in f.terms.items():
+                term = np.full(spec.n_points, coeff.to_complex())
+                if nu[0]:
+                    term = term * x ** nu[0]
+                freq = kappa[0].to_complex()
+                if freq:
+                    term = term * np.exp(freq * x)
+                values += term
+    except OverflowError:  # a coefficient or frequency beyond double range
+        values[:] = np.nan
+    if not np.isfinite(values).all():
+        raise ValueError(f"the samples of {f} are not finite in double precision")
     return values
 
 
 def state(psi: CoefFn, spec: GridSpec) -> np.ndarray:
-    """Samples of a state; besides ``sample``'s refusal, one that vanishes
-    on every grid point raises ``ValueError``, since expectations and
-    relative residuals divide by its norm."""
+    """Samples of a state; besides ``sample``'s refusals, one that vanishes
+    on every grid point, or whose ``||psi||^2`` on the grid overflows or
+    underflows to 0, raises ``ValueError``, since expectations and relative
+    residuals divide by it."""
     values = sample(psi, spec)
     if not np.any(values):
         raise ValueError("the state psi vanishes on every grid point")
+    norm2 = np.vdot(values, values).real
+    if not 0.0 < norm2 < math.inf:
+        raise ValueError(f"||psi||^2 of {psi} is outside double precision")
     return values
 
 
@@ -375,36 +393,44 @@ def evolve(
     law: str = "generalized_heisenberg",
     hbar=1,
     psi: CoefFn,
-    n_samples: int = 101,
 ) -> EvolutionResult:
     """Integrate ``dF/dt = rate(F)`` with classic RK4, emitting samples.
 
     ``law`` selects the plain (``generalized_heisenberg``) or ``covariant``
-    rate; expectation values ``<psi|F|psi> / <psi|psi>`` are recorded
-    against the state ``psi``, together with the norm growth ``||F(t)||_F /
+    rate.  ``min(101, steps + 1)`` samples are taken at steps evenly spread
+    from 0 to ``steps``; each records the expectation ``<psi|F|psi> /
+    <psi|psi>`` in the state ``psi`` and the norm growth ``||F(t)||_F /
     ||F(0)||_F``, which is 0.0 when ``F(0)`` is zero.  ``s`` and ``psi``
     (through ``state``) are sampled before ``hamiltonian`` and ``f0`` are
     discretized, so a refused ``s`` or ``psi`` costs no matrix.  Each RK4
     stage takes two dense products (``_stage_rate``) and a sample takes
     none; the update runs in place, with the rounding of ``f + (dt/6) (k1
-    + 2 k2 + 2 k3 + k4)``.  Only the final operator is returned.
+    + 2 k2 + 2 k3 + k4)``.  Only the final operator is returned.  An
+    ``hbar`` whose ``1/hbar`` is 0 or not finite as a double raises
+    ``ValueError``, and non-finite values in ``F`` raise
+    ``EvolutionDiverged``, also a ``ValueError``.
     """
     if law not in LAWS:
         raise ValueError(f"law must be one of {LAWS}")
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    try:
+        scale = -1j / float(hbar)  # 1/(i hbar)
+    except (OverflowError, ZeroDivisionError):  # hbar beyond double range, or 0.0
+        scale = math.nan
+    if not (scale and cmath.isfinite(scale)):
+        raise ValueError(f"1/hbar is not a finite nonzero double for hbar = {hbar}")
     s_vec = sample(s, spec)
     psi_vec = state(psi, spec)
     h_mat = discretize(hamiltonian, spec).matrix
     f_mat = discretize(f0, spec).matrix
     psi_norm2 = float(np.real(np.vdot(psi_vec, psi_vec)))
 
-    scale = -1j / float(hbar)  # 1/(i hbar)
     plus_s = 1.0 + _s_difference(s_vec)
     rate = _stage_rate(h_mat, plus_s, scale, law == "covariant")
 
     dt = t_final / steps
-    n_samples = max(2, min(n_samples, steps + 1))
+    n_samples = min(101, steps + 1)
     sample_steps = sorted({round(k * steps / (n_samples - 1)) for k in range(n_samples)})
     norm0 = float(np.linalg.norm(f_mat))
 

@@ -87,10 +87,6 @@ class DiffOp(TermMap):
 
     # -- views ---------------------------------------------------------------
 
-    @property
-    def order(self) -> int:
-        return max((sum(alpha) for alpha in self.terms), default=0)
-
     def coefficient(self, alpha) -> CoefFn:
         return self.terms.get(tuple(alpha), zero(self.dim))
 

@@ -120,7 +120,6 @@ class CCRTable:
     in one dimension.
     """
 
-    dim: int
     params: Params
     structure_fn: CoefFn
     theta: dict = field(default_factory=dict)
@@ -147,7 +146,7 @@ def geometric_ccr_suite(s: CoefFn, params: Params = Params()) -> CCRTable:
     dim = s.dim
     momenta = [geomentum(s, axis, params) for axis in range(dim)]
     positions = [position(dim, axis) for axis in range(dim)]
-    table = CCRTable(dim=dim, params=params, structure_fn=s)
+    table = CCRTable(params=params, structure_fn=s)
     for i in range(dim):
         for j in range(dim):
             delta = one(dim) if i == j else zero(dim)

@@ -40,14 +40,9 @@ def _random_exponents(rng: random.Random, dim: int, max_degree: int):
     return tuple(exponents)
 
 
-def random_polynomial(
-    rng: random.Random,
-    dim: int,
-    max_degree: int = 3,
-    max_terms: int = 3,
-) -> CoefFn:
+def random_polynomial(rng: random.Random, dim: int, max_degree: int = 3) -> CoefFn:
     out = zero(dim)
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(rng.randint(1, 3)):
         coeff = random_scalar(rng, real=True)
         out = out + monomial(dim, _random_exponents(rng, dim, max_degree), coeff)
     return out

@@ -35,8 +35,8 @@ class ComplexRational(tuple):
     The value is the canonical triple ``(a, b, d)`` itself, so tuple
     equality and hashing are structural.  Values are unordered: sort by
     ``sort_key()``.  Arithmetic takes another ``ComplexRational`` or an
-    ``int``; a ``Fraction`` enters through ``ComplexRational(re, im)`` or
-    ``coerce``.
+    ``int``, which may stand on either side except the left of ``+``; a
+    ``Fraction`` enters through ``ComplexRational(re, im)`` or ``coerce``.
     """
 
     __slots__ = ()
@@ -86,8 +86,6 @@ class ComplexRational(tuple):
             return _normalized(a1 + a2, b1 + b2, d1)
         return _normalized(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         other = _coerce_or_none(other)
         if other is None:
@@ -112,6 +110,8 @@ class ComplexRational(tuple):
         a2, b2, d2 = other
         return _normalized(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
 
+    # Without it ``2 * z`` falls through to tuple repetition and returns a
+    # six-tuple, not an error.
     __rmul__ = __mul__
 
     def __truediv__(self, other):

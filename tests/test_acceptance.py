@@ -174,6 +174,10 @@ def _jacobi_draws(count=100):
         yield s, ops
 
 
+def _order(op):
+    return max((sum(alpha) for alpha in op.terms), default=0)
+
+
 def test_criterion_4a_jacobi_decomposition():
     """N_cl = N_cc + N_ll exactly on 100 random order-2 triples."""
     start = time.monotonic()
@@ -202,7 +206,7 @@ def test_criterion_4b_jacobi_vanishing():
     witness = ""
     for s, ops in _jacobi_draws():
         n_cl = jacobi_residuals(s, *ops).n_cl
-        orders = tuple(op.order for op in ops)
+        orders = tuple(_order(op) for op in ops)
         if s.dim == 1 and max(orders) <= 1:
             in_sector += 1
             vanished += n_cl.is_zero
@@ -212,7 +216,7 @@ def test_criterion_4b_jacobi_vanishing():
                 a, b, c = (format_diff_op(op) for op in ops)
                 witness = (
                     f"n={s.dim}, orders {orders}, s={format_coef_fn(s)}, "
-                    f"a={a}, b={b}, c={c}: N_cl has order {n_cl.order}"
+                    f"a={a}, b={b}, c={c}: N_cl has order {_order(n_cl)}"
                 )
     report("4b", "jacobi cyclic-sum vanishing",
            vanished == in_sector > 0 and remainders > 0,

@@ -129,7 +129,7 @@ def test_constant_structure_gives_hamiltonian_flow():
 def test_canonical_equations_flat_structure():
     # H = p^2/2m + V(q), s = 0: qdot = p/m, pdot = -V'
     m = Fraction(2)
-    h = p(0) * p(0) * Fraction(1, 2 * m) + monomial(2, (3, 0))
+    h = (p(0) * p(0)).scaled(Fraction(1, 2 * m)) + monomial(2, (3, 0))
     s = zero(2)
     qdot = dynamics_rhs(s, h, q(0), J1, "gchs")
     pdot = dynamics_rhs(s, h, p(0), J1, "gchs")

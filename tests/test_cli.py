@@ -6,13 +6,16 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from random import Random
 
 import pytest
-from refusals import non_periodic_message
+from refusals import non_finite_message, non_periodic_message
 
-from geobracket import cli, grid, printing
+from geobracket import cli, errors, grid, printing
+from geobracket.classical import StructureMatrix, gpb
 from geobracket.cli import build_parser, main
+from geobracket.parsing import parse_function
 from geobracket.randomized import random_periodic_diff_op, random_periodic_fn
 
 
@@ -159,7 +162,8 @@ def test_grid_check_tolerance_failure_exits_4(capsys):
         "1e-18",
     )
     assert code == 4
-    assert "tolerance" in err
+    assert "status: FAIL" in out
+    assert err == "tolerance failure: residuals exceed tolerance 1e-18\n"
 
 
 def test_classical_report(capsys):
@@ -186,6 +190,33 @@ def test_classical_json(capsys):
     payload = json.loads(out)
     assert payload["gpb"] == "1"
     assert payload["gchs"] == "1"
+
+
+def _classical_with_matrix_file(capsys, tmp_path, rows, *argv):
+    path = tmp_path / "j.json"
+    path.write_text(json.dumps(rows))
+    return run_cli(capsys, "classical", *argv, "--J", str(path))
+
+
+@pytest.mark.parametrize("as_json", [[], ["--json"]], ids=["text", "json"])
+def test_canonical_matrix_file_matches_the_canonical_option(tmp_path, capsys, as_json):
+    argv = ["--s", "x1^2", "--f", "x1*x3", "--g", "x2^2 + x4", *as_json]
+    rows = [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]]
+    expected = run_cli(capsys, "classical", *argv)
+    assert expected[0] == 0
+    assert _classical_with_matrix_file(capsys, tmp_path, rows, *argv) == expected
+
+
+def test_matrix_file_sets_the_structure_matrix(tmp_path, capsys):
+    rows = [[0, "3/2"], ["-3/2", 0]]
+    code, out, _ = _classical_with_matrix_file(
+        capsys, tmp_path, rows, "--json", "--s", "x1", "--f", "x1^2*x2", "--g", "x2^2"
+    )
+    assert code == 0
+    f, g = (parse_function(text, dim=2) for text in ("x1^2*x2", "x2^2"))
+    expected = gpb(f, g, StructureMatrix(((0, Fraction(3, 2)), (Fraction(-3, 2), 0))))
+    assert json.loads(out)["gpb"] == str(expected)
+    assert expected != gpb(f, g, StructureMatrix.canonical(1))
 
 
 def test_oscillator_report_and_csv(tmp_path, capsys):
@@ -383,6 +414,13 @@ def test_dimension_error_exits_3(capsys):
     assert "dimension" in err
 
 
+def test_derivative_beyond_the_dimension_exits_3(capsys):
+    code, out, err = run_cli(
+        capsys, "bracket", "--dim", "1", "--s", "0", "--a", "d2", "--b", "x1"
+    )
+    assert (code, out, err) == (3, "", "dimension error: d2 does not fit in 1 coordinate(s)\n")
+
+
 def test_non_real_structure_exits_2(capsys):
     code, _, err = run_cli(capsys, "bracket", "--s", "i*x1", "--a", "d1", "--b", "x1")
     assert code == 2
@@ -494,6 +532,24 @@ def test_index_error_is_an_internal_error(capsys, monkeypatch):
     assert err.startswith("internal error:")
 
 
+_REFUSALS = [
+    value for value in vars(errors).values()
+    if isinstance(value, type) and value.__module__ == errors.__name__
+]
+
+
+@pytest.mark.parametrize("error", _REFUSALS, ids=lambda error: error.__name__)
+def test_every_error_class_exits_2_or_3(capsys, monkeypatch, error):
+    def refuse(args):
+        raise error("refused")
+
+    monkeypatch.setitem(cli._COMMANDS, "bracket", refuse)
+    code, out, err = run_cli(capsys, "bracket", "--s", "0", "--a", "x1", "--b", "d1")
+    assert code == (3 if error is errors.DimensionMismatch else 2)
+    assert out == ""
+    assert "refused" in err and not err.startswith("internal error")
+
+
 def test_classical_missing_structure_matrix_file_exits_2(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     code, out, err = run_cli(
@@ -541,6 +597,98 @@ def test_classical_missing_structure_matrix_file_exits_2(tmp_path, capsys):
 def test_outside_input_exits_2(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (2, "", message + "\n")
+
+
+def _ten_to(k):
+    return "1" + "0" * k
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["oscillator", "--s", "0", "--omega", "1e200"],
+         non_finite_message("5" + "0" * 399 + "*x1^2")),
+        (["oscillator", "--s", "0", "--m", "1e-400"], non_finite_message("-5" + "0" * 399)),
+        (["oscillator", "--s", f"{_ten_to(330)}*x1"], non_finite_message(f"{_ten_to(330)}*x1")),
+        (["oscillator", "--s", "exp(1000*x1)"], non_finite_message("exp(1000*x1)")),
+        (["oscillator", "--s", "0", "--psi", "exp(1000*x1)"],
+         non_finite_message("exp(1000*x1)")),
+        (["oscillator", "--s", "0", "--psi", f"1/{_ten_to(300)}*exp(i*x1)"],
+         f"||psi||^2 of 1/{_ten_to(300)}*exp(i*x1) is outside double precision"),
+        (["oscillator", "--s", "0", "--hbar", "1e-400"],
+         f"1/hbar is not a finite nonzero double for hbar = 1/{_ten_to(400)}"),
+        (["oscillator", "--s", "0", "--hbar", "1e400"],
+         f"1/hbar is not a finite nonzero double for hbar = {_ten_to(400)}"),
+        (["grid-check", "--s", "0", "--a", f"{_ten_to(309)}*d1", "--b", "d1"],
+         non_finite_message(_ten_to(309))),
+        (["grid-check", "--s", "0", "--a", "d1", "--b", "exp(i*x1)",
+          "--psi", f"{_ten_to(300)}*exp(i*x1)"],
+         f"||psi||^2 of {_ten_to(300)}*exp(i*x1) is outside double precision"),
+        (["grid-check", "--s", "0", "--a", "d1", "--b", "exp(i*x1)",
+          "--psi", f"1/{_ten_to(300)}*exp(i*x1)"],
+         f"||psi||^2 of 1/{_ten_to(300)}*exp(i*x1) is outside double precision"),
+    ],
+    ids=[
+        "omega-1e200",
+        "mass-1e-400",
+        "s-1e330",
+        "s-exp-1000x",
+        "psi-exp-1000x",
+        "psi-norm-underflow-oscillator",
+        "hbar-1e-400",
+        "hbar-1e400",
+        "operand-1e309",
+        "psi-norm-overflow",
+        "psi-norm-underflow",
+    ],
+)
+def test_values_outside_double_precision_exit_2(capsys, argv, message):
+    size = ["--grid", "16", "--steps", "2"] if argv[0] == "oscillator" else ["--n", "16"]
+    code, out, err = run_cli(capsys, *argv, *size)
+    assert (code, out, err) == (2, "", f"invalid input: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, step, t",
+    [
+        (["--s", "x1^2", "--grid", "64", "--t", "1", "--steps", "200"], 107, "0.535"),
+        (["--s", "0", "--t", "1e300", "--steps", "1"], 1, "1e+300"),
+    ],
+    ids=["readme-example", "huge-step"],
+)
+def test_diverging_flow_exits_2_and_writes_no_csv(tmp_path, capsys, argv, step, t):
+    csv_path = tmp_path / "flow.csv"
+    code, out, err = run_cli(capsys, "oscillator", *argv, "--csv", str(csv_path))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"invalid input: non-finite values at step {step} (t = {t}); "
+        "reduce the step size or the operator order\n"
+    )
+    assert not csv_path.exists()
+
+
+@pytest.mark.parametrize("kind", ["geomutator", "qcpb"])
+def test_grid_check_refuses_non_real_s_before_matrix_work(capsys, monkeypatch, kind):
+    def no_matrix_work(*args, **kwargs):
+        pytest.fail("a matrix was built before --s was checked")
+
+    monkeypatch.setattr(grid, "matrix_bracket", no_matrix_work)
+    monkeypatch.setattr(grid, "discretize", no_matrix_work)
+    code, out, err = run_cli(
+        capsys, "grid-check", "--s", "exp(i*x1)", "--a", "d1^2", "--b", "exp(i*x1)*d1",
+        "--n", "2048", "--kind", kind,
+    )
+    message = "invalid input: structure function must equal its complex conjugate\n"
+    assert (code, out, err) == (2, "", message)
+
+
+def test_grid_check_qpb_accepts_a_non_real_s(capsys):
+    code, out, _ = run_cli(
+        capsys, "grid-check", "--s", "exp(i*x1)", "--a", "d1^2", "--b", "exp(i*x1)*d1",
+        "--n", "16", "--kind", "qpb",
+    )
+    assert code == 0
+    assert "status: pass" in out
 
 
 @pytest.mark.parametrize(

@@ -18,6 +18,7 @@ from geobracket.operators import (
 from geobracket.parsing import (
     MAX_DEPTH,
     Scalar,
+    lower,
     max_axis,
     parse,
     parse_function,
@@ -172,6 +173,18 @@ def test_parse_function_rejects_derivatives():
 def test_dimension_override_mismatch():
     with pytest.raises(DimensionMismatch):
         parse_operator("x3", dim=2)
+
+
+@pytest.mark.parametrize("text", ["x1^3/2", "x1^2i"])
+def test_exponent_must_be_a_non_negative_integer(text):
+    with pytest.raises(ExprSyntaxError, match="exponent must be a non-negative integer") as excinfo:
+        parse(f"x1 + {text}")
+    assert excinfo.value.column == 9
+
+
+def test_structure_function_of_another_dimension_is_refused():
+    with pytest.raises(DimensionMismatch, match="structure function dimension"):
+        lower(parse("s*d1"), 2, monomial(1, (1,)))
 
 
 @pytest.mark.parametrize(
