@@ -33,15 +33,15 @@ print(f"s = {s}")
 print()
 print(f"{{q, H}}        = {gpb(q, hamiltonian, J)}")
 print(f"{{q, H}}_s      = {gspb(s, q, hamiltonian, J)}")
-print(f"plain rate q  = {dynamics_rhs(s, hamiltonian, q, J, 'tghs')}")
-print(f"full rate q   = {dynamics_rhs(s, hamiltonian, q, J, 'gchs')}")
-print(f"w = {{s, H}}    = {dynamics_rhs(s, hamiltonian, q, J, 'sdyn')}")
+full = gspb(s, q, hamiltonian, J)
+plain = dynamics_rhs(s, hamiltonian, q, J)
+w = gpb(s, hamiltonian, J)
+print(f"plain rate q  = {plain}")
+print(f"full rate q   = {full}")
+print(f"w = {{s, H}}    = {w}")
 print()
 
 # The decomposition holds exactly.
-full = dynamics_rhs(s, hamiltonian, q, J, "gchs")
-plain = dynamics_rhs(s, hamiltonian, q, J, "tghs")
-w = dynamics_rhs(s, hamiltonian, q, J, "sdyn")
 print(f"full - plain - q*w = {full - plain - q * w}")
 print()
 

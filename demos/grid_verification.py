@@ -52,8 +52,8 @@ print()
 
 # Spectrum of the flow generator for the oscillator with s = cos x,
 # realized with the polynomial-friendly central2 scheme.
-flow = gdynamics(cos_of(1), harmonic_oscillator(Params()))
-grid_op = discretize(flow.w_op, GridSpec(64, "central2"))
+w = gdynamics(cos_of(1), harmonic_oscillator(Params()))
+grid_op = discretize(w, GridSpec(64, "central2"))
 values = eigenvalues(grid_op)[:6]
 print("flow generator spectrum (first 6 eigenvalues):")
 for value in values:

@@ -34,11 +34,11 @@ params = Params(hbar=1, mass=1, omega=1)
 h = harmonic_oscillator(params)
 s = monomial(1, (2,))  # s = x^2
 
-flow = gdynamics(s, h)
+w = gdynamics(s, h)
 print(f"hamiltonian:        {h.op}")
 print(f"structure function: {s}")
-print(f"flow generator w:   {flow.w_op}")
-print(f"geomenergy i*h*w:   {flow.geomenergy}")
+print(f"flow generator w:   {w}")
+print(f"geomenergy i*h*w:   {w.scaled(ComplexRational(0, params.hbar))}")
 print()
 
 x, p = position(1), momentum(1)

@@ -72,7 +72,6 @@ from .operators import (
 from .parsing import lower, max_axis, parse, parse_function, parse_operator
 from .quantum import (
     CCRTable,
-    GDynamics,
     Hamiltonian,
     Params,
     covariant_rhs,

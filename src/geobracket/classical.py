@@ -8,6 +8,11 @@ structure matrix J, and the structural extension adds the same correction
 pattern as the quantum side:
 
     {f, g}_s = {f, g} + f {s, g} - g {s, f}.
+
+Each law of the classical flow of ``f`` under a Hamiltonian ``H`` has one
+function, as in :mod:`geobracket.quantum`: the full rate ``{f, H}_s`` is
+``gspb``, the plain rate ``{f, H} - H {s, f}`` is ``dynamics_rhs`` and the
+generator ``w = {s, H}`` is ``gpb(s, H, j)``.
 """
 
 from __future__ import annotations
@@ -87,7 +92,7 @@ def gpb(f: CoefFn, g: CoefFn, j: StructureMatrix) -> CoefFn:
 def gspb(s: CoefFn, f: CoefFn, g: CoefFn, j: StructureMatrix) -> CoefFn:
     """Structural bracket ``{f, g} + f {s, g} - g {s, f}``."""
     _check(j, s, f, g)
-    return gpb(f, g, j) + f * gpb(s, g, j) - g * gpb(s, f, j)
+    return gpb(f, g, j) + geobracket_part(s, f, g, j)
 
 
 def geobracket_part(s: CoefFn, f: CoefFn, g: CoefFn, j: StructureMatrix) -> CoefFn:
@@ -96,26 +101,11 @@ def geobracket_part(s: CoefFn, f: CoefFn, g: CoefFn, j: StructureMatrix) -> Coef
     return f * gpb(s, g, j) - g * gpb(s, f, j)
 
 
-def dynamics_rhs(
-    s: CoefFn,
-    hamiltonian: CoefFn,
-    f: CoefFn,
-    j: StructureMatrix,
-    kind: str = "gchs",
-) -> CoefFn:
-    """Right-hand side of the classical flow of ``f`` under ``hamiltonian``.
+def dynamics_rhs(s: CoefFn, hamiltonian: CoefFn, f: CoefFn, j: StructureMatrix) -> CoefFn:
+    """Plain rate of change of ``f`` under ``hamiltonian``: ``{f, H} - H {s, f}``.
 
-    ``gchs``: full covariant flow ``{f, H}_s``.
-    ``tghs``: plain part ``{f, H} - H {s, f}``.
-    ``sdyn``: the scalar generator ``w = {s, H}`` (ignores ``f``).
-
-    These satisfy ``gchs = tghs + f * sdyn`` exactly.
+    The full rate is ``gspb(s, f, H, j)`` and the generator is ``w =
+    gpb(s, H, j)``; the three satisfy ``full = plain + f * w`` exactly.
     """
     _check(j, s, hamiltonian, f)
-    if kind == "gchs":
-        return gspb(s, f, hamiltonian, j)
-    if kind == "tghs":
-        return gpb(f, hamiltonian, j) - hamiltonian * gpb(s, f, j)
-    if kind == "sdyn":
-        return gpb(s, hamiltonian, j)
-    raise ValueError(f"unknown dynamics kind {kind!r}")
+    return gpb(f, hamiltonian, j) - hamiltonian * gpb(s, f, j)

@@ -4,30 +4,35 @@ Subcommands: ``bracket`` (one extended bracket, printed in parts),
 ``verify`` (randomized identity suite), ``oscillator`` (flow generator and
 rate equations for the quadratic Hamiltonian, plus a grid evolution),
 ``grid-check`` (symbolic vs. matrix bracket residuals), and ``classical``
-(structural Poisson brackets).  Exit codes: 0 success, 2 parse error or
-invalid input (argparse usage errors included, such as a ``--dim``,
-``--trials`` or ``--pairs`` below 1, or a ``grid-check --tol`` that is
-negative or not finite; also a rational with a zero denominator, an
-expression nested deeper than ``parsing.MAX_DEPTH`` (100) levels, a
-``--J`` file that is not a JSON list of rows, a ``--psi`` that vanishes on
-every grid point, a grid function whose samples are not finite doubles
-or a ``--psi`` whose squared norm is not, an ``oscillator --hbar`` whose
-inverse is 0 or not finite as a double, a flow that diverges, and a
-``grid-check`` function that is not 2*pi-periodic, refused with a message
-that names it: ``grid-check`` always compares on a ``spectral`` grid,
-parses every expression, and checks ``--psi`` before it builds a matrix,
-``--s`` (which ``--kind qpb`` does not use) for realness before it builds
-a matrix and for periodicity before it discretizes, and ``--a`` and
-``--b`` before the exact bracket is computed; an ``oscillator --csv``
-path that cannot be written, refused before the flow and without
+(structural Poisson brackets).
+
+Every command parses all its expressions before it lowers any, and
+``grid-check`` and ``oscillator`` check the grid size (a power of two from
+16 to ``grid.MAX_POINTS``, 2048) in between, so a syntax error or a bad
+size is refused before any algebra or matrix work.
+
+Exit codes: 0 success, 2 parse error or invalid input (argparse usage
+errors included, such as a ``--dim``, ``--trials`` or ``--pairs`` below 1,
+or a ``grid-check --tol`` that is negative or not finite; also a rational
+with a zero denominator, an expression nested deeper than
+``parsing.MAX_DEPTH`` (100) levels, a ``--J`` file that is not a JSON list
+of rows, a ``--psi`` that vanishes on every grid point, a grid function
+whose samples are not finite doubles or a ``--psi`` whose squared norm is
+not, an oracle matrix, product or residual that is not finite in double
+precision, an ``oscillator --hbar`` whose inverse is 0 or not finite as a
+double, a flow that diverges, and a ``grid-check`` function that is not
+2*pi-periodic, refused with a message that names it: ``grid-check``
+always compares on a ``spectral`` grid and checks ``--psi`` before it
+builds a matrix, ``--s`` (which ``--kind qpb`` does not use) for realness
+before it builds a matrix and for periodicity before it discretizes, and
+``--a`` and ``--b`` before the exact bracket is computed; an ``oscillator
+--csv`` path that cannot be written, refused before the flow and without
 creating a file), 3 dimension error, 4 tolerance/verification failure
 (``grid-check`` writes its report first), 5 internal error (a bug).  A
 closed stdout (the reader of a pipe exited early, as in ``geobracket
 verify --json | head``) is not an error: the command stops writing and
 exits with its own code and its own stderr message, 0 and nothing when it
-succeeds.  Grid sizes (``grid-check --n``, ``oscillator --grid``) are
-powers of two from 16 to ``grid.MAX_POINTS`` (2048); any other size exits
-2 before a matrix is allocated.
+succeeds.
 
 ``main(argv)`` may be called repeatedly in one process.  The first call
 builds the ``argparse`` parser and every later call reuses it; nothing
@@ -58,7 +63,7 @@ from .brackets import _check, geomutator, qcpb
 from .classical import StructureMatrix, dynamics_rhs, gpb, gspb
 from .errors import DimensionMismatch, ExprSyntaxError
 from .operators import commutator, momentum, position
-from .parsing import as_function, lower, max_axis, parse, parse_function, parse_operator
+from .parsing import as_function, lower, max_axis, parse
 from .quantum import (
     Params,
     covariant_rhs,
@@ -67,6 +72,7 @@ from .quantum import (
     geomentum,
     harmonic_oscillator,
 )
+from .scalars import ComplexRational
 from .verify import run_identity_suite
 
 
@@ -256,14 +262,13 @@ def _refuse_unwritable_csv(path: str) -> None:
 
 def cmd_oscillator(args) -> int:
     params = Params(hbar=args.hbar, mass=args.m, omega=args.omega)
-    s = parse_function(args.s, dim=1)
+    nodes = [parse(args.s), parse(args.psi)]
+    spec = grid_mod.GridSpec(args.grid, "central2")
+    s, psi = (as_function(lower(node, 1)) for node in nodes)
     h = harmonic_oscillator(params)
     x_op = position(1)
     p_op = momentum(1, hbar=params.hbar)
-    flow = gdynamics(s, h)
-
-    spec = grid_mod.GridSpec(args.grid, "central2")
-    psi = parse_function(args.psi, dim=1)
+    w = gdynamics(s, h)
     if args.csv:
         _refuse_unwritable_csv(args.csv)
     result = grid_mod.evolve(
@@ -277,14 +282,15 @@ def cmd_oscillator(args) -> int:
         hbar=params.hbar,
         psi=psi,
     )
-    w_grid = grid_mod.discretize(flow.w_op, spec)
+    w_grid = grid_mod.discretize(w, spec)
     spectrum = grid_mod.eigenvalues(w_grid)[:8]
     p_geo = grid_mod.discretize(geomentum(s, 0, params), spec)
     hermitian = grid_mod.is_hermitian(p_geo)
     fields, lines = _render([
         ("hamiltonian", "hamiltonian:               ", h.op),
-        ("w", "w (flow generator):        ", flow.w_op),
-        ("geomenergy", "geomenergy (i*hbar*w):     ", flow.geomenergy),
+        ("w", "w (flow generator):        ", w),
+        ("geomenergy", "geomenergy (i*hbar*w):     ",
+         w.scaled(ComplexRational(0, params.hbar))),
         ("covariant_rate_x", "covariant rate of x1:      ", covariant_rhs(s, h, x_op)),
         ("plain_rate_x", "plain rate of x1:          ", gen_heisenberg_rhs(s, h, x_op)),
         ("covariant_rate_p", "covariant rate of p1:      ", covariant_rhs(s, h, p_op)),
@@ -321,11 +327,11 @@ def cmd_oscillator(args) -> int:
 
 
 def cmd_grid_check(args) -> int:
-    s = parse_function(args.s, dim=1)
-    a = parse_operator(args.a, dim=1, structure_fn=s)
-    b = parse_operator(args.b, dim=1, structure_fn=s)
-    psi = parse_function(args.psi, dim=1)
+    nodes = [parse(args.s), parse(args.a), parse(args.b), parse(args.psi)]
     spec = grid_mod.GridSpec(args.n)
+    s = as_function(lower(nodes[0], 1))
+    a, b = (lower(node, 1, s) for node in nodes[1:3])
+    psi = as_function(lower(nodes[3], 1))
     grid_mod.state(psi, spec)  # refuse a bad state before matrix work
     if args.kind != "qpb":
         _check(s)  # and a non-real s
@@ -394,8 +400,8 @@ def cmd_classical(args) -> int:
         ("gpb", "gpb {f,g}:        ", gpb(f, g, j)),
         ("gspb", "gspb {f,g}_s:     ", bracket),
         ("gchs", "gchs rate of f:    ", bracket),
-        ("tghs", "tghs rate of f:    ", dynamics_rhs(s, g, f, j, "tghs")),
-        ("sdyn", "s-dynamics w:      ", dynamics_rhs(s, g, f, j, "sdyn")),
+        ("tghs", "tghs rate of f:    ", dynamics_rhs(s, g, f, j)),
+        ("sdyn", "s-dynamics w:      ", gpb(s, g, j)),
     ])
     coordinates = f"coordinates: x1..x{pairs} positions, x{pairs + 1}..x{size} momenta"
     _emit({"pairs": pairs, **fields}, args.json, [coordinates, *lines])

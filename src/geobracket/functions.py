@@ -136,7 +136,7 @@ class CoefFn(TermMap):
         return CoefFn._wrap(self.dim, accumulate({}, products))
 
     def scaled(self, value) -> "CoefFn":
-        value = ComplexRational.coerce(value)
+        value = ComplexRational(value)
         if not value:
             return CoefFn._wrap(self.dim, {})
         return CoefFn._wrap(self.dim, {k: value * c for k, c in self.terms.items()})
@@ -201,7 +201,7 @@ def one(dim: int) -> CoefFn:
 
 
 def const(dim: int, value) -> CoefFn:
-    value = ComplexRational.coerce(value)
+    value = ComplexRational(value)
     key = ((0,) * dim, (ZERO,) * dim)
     return CoefFn(dim, {key: value} if value else {})
 
@@ -218,12 +218,12 @@ def monomial(dim: int, exponents, coeff=1) -> CoefFn:
     exponents = tuple(exponents)
     if len(exponents) != dim:
         raise ValueError("exponent vector length does not match dim")
-    return CoefFn(dim, {(exponents, (ZERO,) * dim): ComplexRational.coerce(coeff)})
+    return CoefFn(dim, {(exponents, (ZERO,) * dim): ComplexRational(coeff)})
 
 
 def exponential(dim: int, freqs) -> CoefFn:
     """``exp(sum_j freqs[j] * x_j)`` with complex-rational frequencies."""
-    freqs = tuple(ComplexRational.coerce(f) for f in freqs)
+    freqs = tuple(ComplexRational(f) for f in freqs)
     if len(freqs) != dim:
         raise ValueError("frequency vector length does not match dim")
     return CoefFn(dim, {((0,) * dim, freqs): ONE})

@@ -24,7 +24,11 @@ expectations and relative residuals divide by it; ``evolve`` refuses an
 ``hbar`` whose ``1/hbar`` is 0 or not finite as a double.
 ``matrix_bracket`` and ``evolve`` sample ``s``, and ``compare`` and
 ``evolve`` sample ``psi``, before they discretize anything, so such input
-is refused before any dense work.
+is refused before any dense work.  Finite samples can still overflow in
+the dense work: ``discretize``, ``matrix_bracket`` and ``compare`` compute
+under ``np.errstate`` and refuse, with ``ValueError`` naming the operator,
+a matrix, a bracket or a residual that is not finite, so no numpy warning
+escapes them either.
 
 Size budget: a grid has at most ``MAX_POINTS`` (2048) points, since every
 operator is a dense n x n complex matrix (64 MiB at the cap); larger sizes
@@ -143,6 +147,13 @@ def derivative_matrix(spec: GridSpec, order: int = 1) -> np.ndarray:
     return np.linalg.matrix_power(_circulant(column), order)
 
 
+def _finite(values: np.ndarray, what: str) -> np.ndarray:
+    """``values``; ``ValueError`` naming ``what`` if any is not finite."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"{what} are not finite in double precision")
+    return values
+
+
 def sample(f: CoefFn, spec: GridSpec) -> np.ndarray:
     """Evaluate a 1-D coefficient function on the grid points.
 
@@ -177,9 +188,7 @@ def sample(f: CoefFn, spec: GridSpec) -> np.ndarray:
                 values += term
     except OverflowError:  # a coefficient or frequency beyond double range
         values[:] = np.nan
-    if not np.isfinite(values).all():
-        raise ValueError(f"the samples of {f} are not finite in double precision")
-    return values
+    return _finite(values, f"the samples of {f}")
 
 
 def state(psi: CoefFn, spec: GridSpec) -> np.ndarray:
@@ -215,13 +224,14 @@ def discretize(op: DiffOp, spec: GridSpec) -> GridOp:
     if op.dim != 1:
         raise DimensionMismatch("the grid oracle is one-dimensional")
     out = np.zeros((spec.n_points, spec.n_points), dtype=complex)
-    for (order,), coeff in op.terms.items():
-        values = sample(coeff, spec)
-        if order:
-            out += values[:, None] * spec.derivative_power(order)
-        else:
-            out[np.diag_indices(spec.n_points)] += values
-    return GridOp(out, spec)
+    with np.errstate(all="ignore"):
+        for (order,), coeff in op.terms.items():
+            values = sample(coeff, spec)
+            if order:
+                out += values[:, None] * spec.derivative_power(order)
+            else:
+                out[np.diag_indices(spec.n_points)] += values
+    return GridOp(_finite(out, f"the matrix entries of {op}"), spec)
 
 
 def _s_difference(s: np.ndarray) -> np.ndarray:
@@ -247,7 +257,8 @@ def matrix_bracket(
     matrix is scaled by ``a`` in place.
     An unknown ``kind`` is refused before anything is sampled, and ``s`` is
     sampled (so, under ``spectral``, checked) before any operator is
-    discretized, except under ``qpb``, which does not use it.
+    discretized, except under ``qpb``, which does not use it.  A result
+    that is not finite raises ``ValueError`` naming ``a`` and ``b``.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown bracket kind {kind!r}")
@@ -255,17 +266,18 @@ def matrix_bracket(
         s_vec = sample(s, spec)
     a_mat = discretize(a, spec).matrix
     b_mat = discretize(b, spec).matrix
-    if kind == "qpb":
-        out = a_mat @ b_mat
-        out -= b_mat @ a_mat
-        return GridOp(out, spec)
-    factor = _s_difference(s_vec)
-    if kind == "qcpb":
-        factor += 1.0
-    out = a_mat @ (factor * b_mat)
-    factor *= a_mat
-    out -= b_mat @ factor
-    return GridOp(out, spec)
+    with np.errstate(all="ignore"):
+        if kind == "qpb":
+            out = a_mat @ b_mat
+            out -= b_mat @ a_mat
+        else:
+            factor = _s_difference(s_vec)
+            if kind == "qcpb":
+                factor += 1.0
+            out = a_mat @ (factor * b_mat)
+            factor *= a_mat
+            out -= b_mat @ factor
+    return GridOp(_finite(out, f"the matrix entries of the {kind} of {a} and {b}"), spec)
 
 
 @dataclass(frozen=True)
@@ -293,11 +305,14 @@ def _band_limited_norm(x: np.ndarray) -> float:
     ``sqrt(n) * ifft(x, axis=1)``, and only the masked ones are kept.  The
     2-norm of that n x (n/2 + 1) matrix is the square root of the largest
     eigenvalue of its Gram matrix, not an SVD; it is clamped at 0, so an
-    exactly zero matrix gives exactly 0.0.
+    exactly zero matrix gives exactly 0.0, and it is ``inf`` when the Gram
+    matrix overflows.
     """
     n = x.shape[1]
     columns = np.fft.ifft(x, axis=1)[:, np.abs(_wavenumbers(n)) <= n // 4]
     gram = columns.conj().T @ columns
+    if not np.isfinite(gram).all():
+        return math.inf
     return math.sqrt(n) * math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
 
 
@@ -317,26 +332,30 @@ def compare(
     where agreement is exact to rounding.  ``psi`` enters through
     ``state``, before ``symbolic`` is discretized: one that vanishes on
     every grid point raises ``ValueError``, and one that is not
-    2*pi-periodic raises ``NonPeriodicCoefficient``.
+    2*pi-periodic raises ``NonPeriodicCoefficient``.  Residuals or scales
+    that are not finite raise ``ValueError`` naming ``symbolic``.
     """
     spec = numeric.spec
     if spec.scheme != "spectral":
         raise ValueError(f"compare requires the spectral scheme, got {spec.scheme!r}")
     psi_vec = state(psi, spec)
     sym_mat = discretize(symbolic, spec).matrix
-    sym_action = sym_mat @ psi_vec
-    num_action = numeric.matrix @ psi_vec
+    with np.errstate(all="ignore"):
+        sym_action = sym_mat @ psi_vec
+        num_action = numeric.matrix @ psi_vec
 
-    op_scale = max(_band_limited_norm(sym_mat), 1.0)
-    spectral = _band_limited_norm(sym_mat - numeric.matrix) / op_scale
+        op_scale = max(_band_limited_norm(sym_mat), 1.0)
+        spectral = _band_limited_norm(sym_mat - numeric.matrix) / op_scale
 
-    # Scale the action defect by the larger of the action itself and the
-    # operator scale applied to psi, so tiny-norm totals do not inflate it.
-    action_scale = max(
-        float(np.linalg.norm(sym_action)),
-        op_scale * float(np.linalg.norm(psi_vec)),
-    )
-    l2 = float(np.linalg.norm(sym_action - num_action)) / action_scale
+        # Scale the action defect by the larger of the action itself and the
+        # operator scale applied to psi, so tiny-norm totals do not inflate it.
+        action_scale = max(
+            float(np.linalg.norm(sym_action)),
+            op_scale * float(np.linalg.norm(psi_vec)),
+        )
+        l2 = float(np.linalg.norm(sym_action - num_action)) / action_scale
+    residuals = np.array([op_scale, action_scale, spectral, l2])
+    _finite(residuals, f"the residuals of {symbolic}")
     return ComparisonReport(l2, spectral, tolerance)
 
 

@@ -61,7 +61,7 @@ class DiffOp(TermMap):
     # -- linear structure ---------------------------------------------------
 
     def scaled(self, value) -> "DiffOp":
-        value = ComplexRational.coerce(value)
+        value = ComplexRational(value)
         if not value:
             return DiffOp._wrap(self.dim, {})
         return DiffOp._wrap(self.dim, {a: c.scaled(value) for a, c in self.terms.items()})

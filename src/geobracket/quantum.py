@@ -8,9 +8,12 @@ splits into
     generator:        w = (1/i hbar) [s, H]_c
 
 with ``[.,.]_c`` the ordinary commutator; the three are tied together by
-``covariant = plain + F w`` exactly.  The module also builds the
-structure-corrected momentum ``p_j = -i hbar (d_j + (d_j s))`` and the full
-table of canonical commutation relations it induces.
+``covariant = plain + F w`` exactly.  Each has one function:
+``covariant_rhs``, ``gen_heisenberg_rhs`` and ``gdynamics``, which returns
+``w`` itself (its energy form ``[s, H]`` is ``w`` scaled by ``i hbar``).
+The module also builds the structure-corrected momentum ``p_j = -i hbar
+(d_j + (d_j s))`` and the full table of canonical commutation relations it
+induces.
 """
 
 from __future__ import annotations
@@ -72,19 +75,10 @@ def harmonic_oscillator(params: Params = Params()) -> Hamiltonian:
     return Hamiltonian(op, params)
 
 
-@dataclass(frozen=True)
-class GDynamics:
-    """The flow generator ``w = (1/i hbar) [s, H]`` and its energy form."""
-
-    w_op: DiffOp
-    geomenergy: DiffOp  # i hbar w = [s, H]
-
-
-def gdynamics(s: CoefFn, h: Hamiltonian) -> GDynamics:
+def gdynamics(s: CoefFn, h: Hamiltonian) -> DiffOp:
+    """The flow generator ``w = (1/i hbar) [s, H]``."""
     _check(s, h.op)
-    bracket = commutator(mult(s), h.op)
-    w_op = bracket.scaled(h.params.inv_i_hbar)
-    return GDynamics(w_op=w_op, geomenergy=bracket)
+    return commutator(mult(s), h.op).scaled(h.params.inv_i_hbar)
 
 
 def gen_heisenberg_rhs(s: CoefFn, h: Hamiltonian, f: DiffOp) -> DiffOp:

@@ -36,7 +36,9 @@ class ComplexRational(tuple):
     equality and hashing are structural.  Values are unordered: sort by
     ``sort_key()``.  Arithmetic takes another ``ComplexRational`` or an
     ``int``, which may stand on either side except the left of ``+``; a
-    ``Fraction`` enters through ``ComplexRational(re, im)`` or ``coerce``.
+    ``Fraction`` enters through the constructor, the one way to make a
+    value: ``ComplexRational(re, im)`` takes rational parts, and
+    ``ComplexRational(z)`` returns a ``ComplexRational`` ``z`` unchanged.
     """
 
     __slots__ = ()
@@ -44,6 +46,8 @@ class ComplexRational(tuple):
     def __new__(cls, re=0, im=0):
         if type(re) is int and type(im) is int:
             return _new(cls, (re, im, 1))
+        if re.__class__ is ComplexRational and not im:
+            return re
         re = as_fraction(re)
         im = as_fraction(im)
         d_re, d_im = re.denominator, im.denominator
@@ -63,12 +67,6 @@ class ComplexRational(tuple):
     @property
     def im(self) -> Fraction:
         return Fraction(self[1], self[2])
-
-    @staticmethod
-    def coerce(value) -> "ComplexRational":
-        if isinstance(value, ComplexRational):
-            return value
-        return ComplexRational(as_fraction(value))
 
     # -- arithmetic --------------------------------------------------------
 

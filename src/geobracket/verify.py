@@ -234,7 +234,7 @@ def check_covariant_decomposition(rng, max_dim) -> bool:
     s = random_structure_fn(rng, dim)
     h = Hamiltonian(random_diff_op(rng, dim, max_terms=2))
     f = random_diff_op(rng, dim, max_terms=2)
-    w = gdynamics(s, h).w_op
+    w = gdynamics(s, h)
     decomposed = gen_heisenberg_rhs(s, h, f) + compose(f, w)
     conserved = covariant_rhs(s, h, h.op).is_zero
     return covariant_rhs(s, h, f) == decomposed and conserved
@@ -271,9 +271,7 @@ def check_classical_brackets(rng, max_dim) -> bool:
     g = random_polynomial(rng, size, max_degree=2)
     h = random_polynomial(rng, size, max_degree=2)
     antisymmetric = gspb(s, f, g, j) == -gspb(s, g, f, j)
-    decomposition = dynamics_rhs(s, h, f, j, "gchs") == dynamics_rhs(
-        s, h, f, j, "tghs"
-    ) + f * dynamics_rhs(s, h, f, j, "sdyn")
+    decomposition = gspb(s, f, h, j) == dynamics_rhs(s, h, f, j) + f * gpb(s, h, j)
     expansion = position_momentum_expansion_holds(s, j, pairs)
     return antisymmetric and decomposition and expansion
 

@@ -105,25 +105,25 @@ def test_dynamics_kinds_and_identity():
     s = random_polynomial(rng, 2, max_degree=2)
     h = random_polynomial(rng, 2, max_degree=3)
     f = random_polynomial(rng, 2, max_degree=2)
-    gchs = dynamics_rhs(s, h, f, J1, "gchs")
-    tghs = dynamics_rhs(s, h, f, J1, "tghs")
-    w = dynamics_rhs(s, h, f, J1, "sdyn")
+    gchs = gspb(s, f, h, J1)
+    tghs = dynamics_rhs(s, h, f, J1)
+    w = gpb(s, h, J1)
     assert gchs == tghs + f * w
-    assert w == gpb(s, h, J1)
+    assert tghs == gpb(f, h, J1) - h * gpb(s, f, J1)
 
 
 def test_hamiltonian_covariantly_conserved():
     rng = trial_rng(33, "cons", 0)
     s = random_polynomial(rng, 2, max_degree=2)
     h = random_polynomial(rng, 2, max_degree=3)
-    assert dynamics_rhs(s, h, h, J1, "gchs").is_zero
+    assert gspb(s, h, h, J1).is_zero
 
 
 def test_constant_structure_gives_hamiltonian_flow():
     rng = trial_rng(33, "flow", 0)
     h = random_polynomial(rng, 2, max_degree=3)
     f = random_polynomial(rng, 2, max_degree=2)
-    assert dynamics_rhs(const(2, 3), h, f, J1, "gchs") == gpb(f, h, J1)
+    assert gspb(const(2, 3), f, h, J1) == gpb(f, h, J1)
 
 
 def test_canonical_equations_flat_structure():
@@ -131,8 +131,8 @@ def test_canonical_equations_flat_structure():
     m = Fraction(2)
     h = (p(0) * p(0)).scaled(Fraction(1, 2 * m)) + monomial(2, (3, 0))
     s = zero(2)
-    qdot = dynamics_rhs(s, h, q(0), J1, "gchs")
-    pdot = dynamics_rhs(s, h, p(0), J1, "gchs")
+    qdot = gspb(s, q(0), h, J1)
+    pdot = gspb(s, p(0), h, J1)
     assert qdot == p(0).scaled(Fraction(1) / m)
     assert pdot == monomial(2, (2, 0), -3)
 
@@ -153,6 +153,6 @@ def test_dimension_mismatch_rejected():
         gpb(one(2), one(2), J2)
 
 
-def test_unknown_dynamics_kind():
-    with pytest.raises(ValueError):
-        dynamics_rhs(zero(2), one(2), one(2), J1, "bogus")
+def test_dynamics_rhs_takes_no_kind():
+    with pytest.raises(TypeError):
+        dynamics_rhs(zero(2), one(2), one(2), J1, "tghs")

@@ -12,7 +12,7 @@ from random import Random
 import pytest
 from refusals import non_finite_message, non_periodic_message
 
-from geobracket import cli, errors, grid, printing
+from geobracket import cli, errors, grid, parsing, printing
 from geobracket.classical import StructureMatrix, gpb
 from geobracket.cli import build_parser, main
 from geobracket.parsing import parse_function
@@ -439,6 +439,20 @@ def test_verify_rejects_non_positive_trials(capsys, trials):
     assert "must be >= 1" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--trials", "x"], "argument --trials: not an integer: 'x'"),
+        (["oscillator", "--s", "0", "--t", "abc"], "argument --t: not a number: 'abc'"),
+    ],
+    ids=["trials", "time"],
+)
+def test_a_value_that_is_not_a_number_is_a_usage_error(capsys, argv, message):
+    code, err = _usage_error(capsys, *argv)
+    assert code == 2
+    assert err.endswith(f"error: {message}\n")
+
+
 @pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
 def test_oscillator_rejects_non_finite_time(capsys, t):
     code, err = _usage_error(capsys, "oscillator", "--s", "0", f"--t={t}")
@@ -646,6 +660,80 @@ def test_values_outside_double_precision_exit_2(capsys, argv, message):
     size = ["--grid", "16", "--steps", "2"] if argv[0] == "oscillator" else ["--n", "16"]
     code, out, err = run_cli(capsys, *argv, *size)
     assert (code, out, err) == (2, "", f"invalid input: {message}\n")
+
+
+_PARSE_ERROR_AT_END = (
+    "parse error: unexpected end of input (line 1, column 4); "
+    "expected one of: number, identifier, ("
+)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["grid-check", "--s", "0", "--a", "d1", "--b", "x1", "--psi", "x1+"],
+         _PARSE_ERROR_AT_END),
+        (["grid-check", "--s", "0", "--a", "d1", "--b", "x1", "--n", "17"],
+         "invalid input: n_points must be a power of two"),
+        (["oscillator", "--s", "0", "--psi", "x1+"], _PARSE_ERROR_AT_END),
+        (["oscillator", "--s", "0", "--grid", "8"], "invalid input: n_points must be >= 16"),
+        # A syntax error is reported before a dimension error in an earlier expression.
+        (["grid-check", "--s", "0", "--a", "x2", "--b", "d1", "--psi", "x1+"],
+         _PARSE_ERROR_AT_END),
+    ],
+    ids=[
+        "grid-check-syntax", "grid-check-size", "oscillator-syntax", "oscillator-size",
+        "syntax-before-dimension",
+    ],
+)
+def test_grid_commands_parse_and_check_the_size_before_lowering(
+    capsys, monkeypatch, argv, message
+):
+    def no_lowering(*args, **kwargs):
+        pytest.fail("an expression was lowered before the input was read")
+
+    monkeypatch.setattr(cli, "lower", no_lowering)
+    monkeypatch.setattr(parsing, "lower", no_lowering)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", message + "\n")
+
+
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        (["--psi", "x1+"], _PARSE_ERROR_AT_END),
+        (["--n", "3"], "invalid input: n_points must be >= 16"),
+    ],
+    ids=["syntax", "size"],
+)
+def test_a_costly_operand_is_not_lowered_before_a_refusal(capsys, option, message):
+    # Lowering (x1 + d1)^60 takes seconds; the refusal must not wait for it.
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "grid-check", "--s", "0", "--a", "(x1+d1)^60", "--b", "x1", *option
+    )
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (2, "", message + "\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--a", f"{_ten_to(200)}*d1", "--b", f"{_ten_to(200)}*d1^2", "--n", "16"],
+         f"the matrix entries of the qcpb of {_ten_to(200)}*d1 and {_ten_to(200)}*d1^2"),
+        (["--a", f"{_ten_to(160)}*exp(i*x1)*d1", "--b", "exp(i*x1)", "--n", "16"],
+         f"the residuals of {_ten_to(160)}*i*exp(2*i*x1)"),
+        (["--a", f"{_ten_to(307)}*d1^2", "--b", "exp(i*x1)", "--n", "1024", "--kind", "qpb"],
+         f"the matrix entries of {_ten_to(307)}*d1^2"),
+    ],
+    ids=["bracket-product", "compare-norms", "discretize"],
+)
+def test_oracle_results_outside_double_precision_exit_2(capsys, argv, message):
+    # Under the suite's error::RuntimeWarning filter a numpy warning would
+    # turn into an internal error (exit 5).
+    code, out, err = run_cli(capsys, "grid-check", "--s", "0", *argv)
+    assert (code, out) == (2, "")
+    assert err == f"invalid input: {message} are not finite in double precision\n"
 
 
 @pytest.mark.parametrize(

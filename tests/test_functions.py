@@ -194,3 +194,32 @@ def test_accumulate_drops_cancelled_keys():
 def test_accumulate_keeps_insertion_order():
     acc = accumulate({"b": 1}, [("a", 1), ("c", 2), ("b", 1), ("a", -1), ("a", 5)])
     assert list(acc.items()) == [("b", 2), ("c", 2), ("a", 5)]
+
+
+_ZERO_FREQ = (ComplexRational(),)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: CoefFn(1, {((1, 0), _ZERO_FREQ): I}), ValueError,
+         "term key length does not match dim"),
+        (lambda: CoefFn(1, {((-1,), _ZERO_FREQ): I}), ValueError,
+         "monomial exponents must be non-negative"),
+        (lambda: CoefFn(0, {}), ValueError, "dim must be >= 1"),
+        (lambda: DiffOp(0, {}), ValueError, "dim must be >= 1"),
+        (lambda: coord(2, 2), IndexError, "axis 2 out of range for dim 2"),
+        (lambda: monomial(2, (1,)), ValueError, "exponent vector length does not match dim"),
+        (lambda: exponential(2, (I,)), ValueError,
+         "frequency vector length does not match dim"),
+    ],
+    ids=[
+        "key-length", "negative-exponent", "coef-fn-dim-0", "diff-op-dim-0",
+        "coord-axis", "monomial-length", "exponential-length",
+    ],
+)
+def test_malformed_function_is_refused(build, error, message):
+    with pytest.raises(error) as excinfo:
+        build()
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == message

@@ -181,6 +181,9 @@ def test_polynomial_s_is_accepted_where_it_is_not_sampled_spectrally(scheme, kin
 def test_two_dimensional_rejected():
     with pytest.raises(DimensionMismatch):
         discretize(partial_d(2), GridSpec(64))
+    with pytest.raises(DimensionMismatch) as excinfo:
+        sample(one(2), GridSpec(16))
+    assert str(excinfo.value) == "grid sampling requires 1-D functions"
 
 
 def test_diagonal_matrices_commute_exactly():
@@ -426,6 +429,22 @@ def test_rk4_is_fourth_order():
         errors.append(np.linalg.norm(result.final.matrix - exact))
     factor = errors[0] / errors[1]
     assert 12.0 <= factor <= 20.0
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        ({"law": "bogus"}, f"law must be one of {LAWS}"),
+        ({"steps": 0}, "steps must be >= 1"),
+    ],
+    ids=["unknown-law", "zero-steps"],
+)
+def test_evolve_refuses_a_bad_law_or_step_count(options, message):
+    arguments = {"t_final": 0.1, "steps": 10, "spec": GridSpec(16), "psi": E_IX, **options}
+    with pytest.raises(ValueError) as excinfo:
+        evolve(cos_of(1), _kinetic_plus_cosine(), zero_op(1), **arguments)
+    assert type(excinfo.value) is ValueError
+    assert str(excinfo.value) == message
 
 
 def test_evolution_divergence_aborts():

@@ -150,3 +150,23 @@ def test_apply_equals_iterated_derivatives(index):
             derivative = derivative.diff(axis)
         expected = expected + coeff * derivative
     assert a(psi) == expected
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: DiffOp(1, {(0, 1): one(1)}), ValueError,
+         "derivative multi-index length does not match dim"),
+        (lambda: DiffOp(1, {(-1,): one(1)}), ValueError,
+         "derivative orders must be non-negative"),
+        (lambda: DiffOp(1, {(1,): one(2)}), DimensionMismatch,
+         "coefficient dimension does not match operator dimension"),
+        (lambda: partial_d(2, 2), IndexError, "axis 2 out of range for dim 2"),
+    ],
+    ids=["index-length", "negative-order", "coefficient-dim", "partial-axis"],
+)
+def test_malformed_operator_is_refused(build, error, message):
+    with pytest.raises(error) as excinfo:
+        build()
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == message

@@ -146,6 +146,12 @@ def test_syntax_error_positions():
     with pytest.raises(ExprSyntaxError) as excinfo:
         parse("x1 + * 2")
     assert excinfo.value.column == 6
+    with pytest.raises(ExprSyntaxError) as excinfo:
+        parse("x1 +\n  * 2")
+    assert (excinfo.value.line, excinfo.value.column) == (2, 3)
+    assert str(excinfo.value) == (
+        "unexpected '*' (line 2, column 3); expected one of: number, identifier, ("
+    )
 
 
 @pytest.mark.parametrize(

@@ -43,6 +43,9 @@ def test_params_validation():
     with pytest.raises(ValueError):
         Params(mass=-1)
     assert Params(omega=0).omega == 0
+    with pytest.raises(ValueError) as excinfo:
+        Params(omega=-1)
+    assert str(excinfo.value) == "omega must be non-negative"
 
 
 def test_oscillator_expansion():
@@ -56,18 +59,19 @@ def test_oscillator_expansion():
 
 def test_flow_generator_vanishes_for_constant_structure():
     h = harmonic_oscillator(Params())
-    flow = gdynamics(const(1, 5), h)
-    assert flow.w_op.is_zero
-    assert flow.geomenergy.is_zero
+    w = gdynamics(const(1, 5), h)
+    assert w.is_zero
+    assert commutator(mult(const(1, 5)), h.op).is_zero
 
 
 def test_flow_generator_for_quadratic_structure():
     # s = x^2, hbar = m = 1: w = -i (1 + 2 x d)
     h = harmonic_oscillator(Params())
-    flow = gdynamics(monomial(1, (2,)), h)
+    s = monomial(1, (2,))
+    w = gdynamics(s, h)
     expected = (identity(1) + compose(position(1), partial_d(1)).scaled(2)).scaled(-I)
-    assert flow.w_op == expected
-    assert flow.geomenergy == flow.w_op.scaled(ComplexRational(0, 1))
+    assert w == expected
+    assert commutator(mult(s), h.op) == w.scaled(ComplexRational(0, 1))
 
 
 test_covariant_decomposition_random = catalogue_test(

@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 from geobracket.functions import coord, exponential
 from geobracket.operators import mult, partial_d
 from geobracket.printing import format_scalar, scalar_needs_parens
-from geobracket.scalars import ONE, ComplexRational
+from geobracket.scalars import ONE, ComplexRational, as_fraction
 
 rationals = st.fractions(
     min_value=-20, max_value=20, max_denominator=12
@@ -83,10 +83,22 @@ def test_mixed_python_numbers():
     assert 1 - half == half
     with pytest.raises(TypeError):  # an int adds from the right only
         1 + half
-    # ints are the only foreign operands: Fractions go through coerce
+    # ints are the only foreign operands: Fractions go through the constructor
     with pytest.raises(TypeError):
         ONE + Fraction(1, 2)
-    assert ONE + ComplexRational.coerce(Fraction(1, 2)) == ComplexRational(Fraction(3, 2))
+    assert ONE + ComplexRational(Fraction(1, 2)) == ComplexRational(Fraction(3, 2))
+
+
+def test_constructor_is_the_one_conversion():
+    z = ComplexRational(Fraction(1, 2), 3)
+    assert ComplexRational(z) is z
+    with pytest.raises(TypeError):
+        ComplexRational(z, 1)
+    with pytest.raises(TypeError) as excinfo:
+        as_fraction(0.5)
+    assert str(excinfo.value) == "expected a rational value, got float"
+    for value in (mult(coord(1, 0)), partial_d(1), exponential(1, (ComplexRational(0, 1),))):
+        assert value.scaled(2) == value.scaled(Fraction(2)) == value.scaled(ComplexRational(2))
 
 
 def test_division_by_zero_raises():

@@ -3,9 +3,9 @@
 ``pyproject.toml`` declares ``requires-python = ">=3.10"``.  Parsing with
 ``ast.parse(..., feature_version=(3, 10))`` catches 3.11-and-later syntax
 (``except*``, PEP 695 generics, ``type`` aliases) on any newer interpreter.
-It checks syntax only: a 3.11-only standard-library API (``tomllib``) is
-not caught, and neither is a starred subscript ``a[*b]``, which
-``feature_version`` does not police.
+``feature_version`` lets two things through, so ``parse_as_3_10`` also walks
+the tree and refuses them: a starred subscript ``a[*b]`` and an import of a
+standard-library module that first shipped in 3.11 (``NEW_IN_3_11``).
 """
 
 import ast
@@ -17,6 +17,29 @@ ROOT = Path(__file__).resolve().parent.parent
 SOURCE_DIRS = ("src", "tests", "perfbench", "demos")
 SOURCES = sorted(path for name in SOURCE_DIRS for path in (ROOT / name).rglob("*.py"))
 
+NEW_IN_3_11 = frozenset({"tomllib", "wsgiref.types"})
+
+
+def _imported_modules(node):
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and not node.level:
+        return [node.module, *(f"{node.module}.{alias.name}" for alias in node.names)]
+    return []
+
+
+def parse_as_3_10(source, filename="<source>"):
+    """``ast.parse`` under the 3.10 grammar, plus what that grammar lets through."""
+    tree = ast.parse(source, filename=filename, feature_version=(3, 10))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple):
+            if any(isinstance(item, ast.Starred) for item in node.slice.elts):
+                raise SyntaxError(f"{filename}:{node.lineno}: starred subscript needs 3.11")
+        for module in _imported_modules(node):
+            if any(module == new or module.startswith(new + ".") for new in NEW_IN_3_11):
+                raise SyntaxError(f"{filename}:{node.lineno}: {module} needs 3.11")
+    return tree
+
 
 def test_every_source_directory_has_files():
     for name in SOURCE_DIRS:
@@ -25,7 +48,7 @@ def test_every_source_directory_has_files():
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: str(path.relative_to(ROOT)))
 def test_source_parses_as_python_3_10(path):
-    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+    parse_as_3_10(path.read_text(encoding="utf-8"), filename=str(path))
 
 
 @pytest.mark.parametrize(
@@ -35,9 +58,18 @@ def test_source_parses_as_python_3_10(path):
         "def first[T](items: list[T]) -> T:\n    return items[0]\n",
         "class Box[T]:\n    pass\n",
         "type Pair = tuple[int, int]\n",
+        "first = items[*indices]\n",
+        "import tomllib\n",
+        "from tomllib import loads\n",
+        "from wsgiref import types\n",
+        "import wsgiref.types as wsgi_types\n",
     ],
-    ids=["except-star", "generic-function", "generic-class", "type-alias"],
+    ids=[
+        "except-star", "generic-function", "generic-class", "type-alias",
+        "starred-subscript", "tomllib", "from-tomllib", "wsgiref-types", "import-wsgiref-types",
+    ],
 )
 def test_newer_syntax_is_refused(source):
     with pytest.raises(SyntaxError):
-        ast.parse(source, feature_version=(3, 10))
+        parse_as_3_10(source)
+
