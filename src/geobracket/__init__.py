@@ -4,6 +4,14 @@ The extended bracket ``[a, b] = (ab - ba) + a[s, b] - b[s, a]`` of
 differential operators, the covariant dynamics it generates, the classical
 structural Poisson bracket analog, and a dense-matrix grid oracle that
 re-verifies everything numerically.
+
+numpy is loaded by ``geobracket.grid`` alone, on first use: by the
+``grid-check`` or ``oscillator`` command, or by a grid name read from this
+package (``GridSpec``, ``compare``, ``evolve`` and the others in
+``_GRID_NAMES``).  The package serves those names through a module
+``__getattr__`` that looks each one up in ``geobracket.grid`` on every
+access and caches nothing here, so the exact engine starts without numpy
+and a rebinding in ``grid`` (a tracer's, a test's) reaches every caller.
 """
 
 from .brackets import (
@@ -43,20 +51,6 @@ from .functions import (
     sin_of,
     zero,
 )
-from .grid import (
-    ComparisonReport,
-    EvolutionResult,
-    GridOp,
-    GridSpec,
-    compare,
-    derivative_matrix,
-    discretize,
-    eigenvalues,
-    evolve,
-    is_hermitian,
-    matrix_bracket,
-    sample,
-)
 from .operators import (
     DiffOp,
     commutator,
@@ -84,6 +78,36 @@ from .quantum import (
 )
 from .scalars import ComplexRational
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+_GRID_NAMES = frozenset({
+    "ComparisonReport",
+    "EvolutionResult",
+    "GridOp",
+    "GridSpec",
+    "compare",
+    "derivative_matrix",
+    "discretize",
+    "eigenvalues",
+    "evolve",
+    "is_hermitian",
+    "matrix_bracket",
+    "sample",
+})
+
+__all__ = sorted(
+    {name for name in dir() if not name.startswith("_")} | _GRID_NAMES | {"grid"}
+)
+
+
+def __getattr__(name):
+    if name == "grid" or name in _GRID_NAMES:
+        import importlib
+
+        grid = importlib.import_module(f"{__name__}.grid")
+        return grid if name == "grid" else getattr(grid, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_GRID_NAMES, "grid"})
 
 __version__ = "0.1.0"

@@ -27,6 +27,10 @@ from .functions import CoefFn
 from .operators import DiffOp, commutator, compose, mult
 from .scalars import I
 
+# The bracket kinds ``grid.matrix_bracket`` recomputes and ``grid-check --kind``
+# offers; defined here, not in ``grid``, so the CLI reads them without numpy.
+KINDS = ("qpb", "geomutator", "qcpb")
+
 
 def _check(s: CoefFn, *ops: DiffOp):
     if not s.is_real:

@@ -58,13 +58,13 @@ import os
 import sys
 from fractions import Fraction
 
-from . import grid as grid_mod
-from .brackets import _check, geomutator, qcpb
+from .brackets import KINDS, _check, geomutator, qcpb
 from .classical import StructureMatrix, dynamics_rhs, gpb, gspb
 from .errors import DimensionMismatch, ExprSyntaxError
 from .operators import commutator, momentum, position
 from .parsing import as_function, lower, max_axis, parse
 from .quantum import (
+    LAWS,
     Params,
     covariant_rhs,
     gdynamics,
@@ -139,9 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     oscillator.add_argument("--grid", type=int, default=64)
     oscillator.add_argument("--t", type=_finite_float, default=1.0)
     oscillator.add_argument("--steps", type=int, default=200)
-    oscillator.add_argument(
-        "--law", choices=grid_mod.LAWS, default="generalized_heisenberg"
-    )
+    oscillator.add_argument("--law", choices=LAWS, default="generalized_heisenberg")
     oscillator.add_argument("--psi", default="exp(i*x1)", help="state for expectations")
     oscillator.add_argument("--csv", default=None, help="write samples to this file")
 
@@ -152,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     grid_check.add_argument("--a", required=True)
     grid_check.add_argument("--b", required=True)
     grid_check.add_argument("--n", type=int, default=256)
-    grid_check.add_argument("--kind", choices=grid_mod.KINDS, default="qcpb")
+    grid_check.add_argument("--kind", choices=KINDS, default="qcpb")
     grid_check.add_argument("--tol", type=_tolerance, default=1e-8)
     grid_check.add_argument("--psi", default="exp(i*x1)")
 
@@ -261,6 +259,8 @@ def _refuse_unwritable_csv(path: str) -> None:
 
 
 def cmd_oscillator(args) -> int:
+    from . import grid as grid_mod
+
     params = Params(hbar=args.hbar, mass=args.m, omega=args.omega)
     nodes = [parse(args.s), parse(args.psi)]
     spec = grid_mod.GridSpec(args.grid, "central2")
@@ -327,6 +327,8 @@ def cmd_oscillator(args) -> int:
 
 
 def cmd_grid_check(args) -> int:
+    from . import grid as grid_mod
+
     nodes = [parse(args.s), parse(args.a), parse(args.b), parse(args.psi)]
     spec = grid_mod.GridSpec(args.n)
     s = as_function(lower(nodes[0], 1))

@@ -49,9 +49,11 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .brackets import KINDS
 from .errors import DimensionMismatch, EvolutionDiverged, NonPeriodicCoefficient
 from .functions import CoefFn
 from .operators import DiffOp
+from .quantum import LAWS
 
 SCHEMES = ("spectral", "central2")
 
@@ -239,9 +241,6 @@ def _s_difference(s: np.ndarray) -> np.ndarray:
     return s[:, None] - s[None, :]
 
 
-KINDS = ("qpb", "geomutator", "qcpb")
-
-
 def matrix_bracket(
     s: CoefFn,
     a: DiffOp,
@@ -357,9 +356,6 @@ def compare(
     residuals = np.array([op_scale, action_scale, spectral, l2])
     _finite(residuals, f"the residuals of {symbolic}")
     return ComparisonReport(l2, spectral, tolerance)
-
-
-LAWS = ("generalized_heisenberg", "covariant")
 
 
 @dataclass(frozen=True)

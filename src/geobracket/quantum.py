@@ -81,6 +81,12 @@ def gdynamics(s: CoefFn, h: Hamiltonian) -> DiffOp:
     return commutator(mult(s), h.op).scaled(h.params.inv_i_hbar)
 
 
+# The rate laws ``grid.evolve`` integrates and ``oscillator --law`` offers,
+# named after ``gen_heisenberg_rhs`` and ``covariant_rhs``; defined here, not
+# in ``grid``, so the CLI reads them without numpy.
+LAWS = ("generalized_heisenberg", "covariant")
+
+
 def gen_heisenberg_rhs(s: CoefFn, h: Hamiltonian, f: DiffOp) -> DiffOp:
     """Plain rate of change: ``(1/i hbar)([f, H] - H [s, f])``."""
     _check(s, h.op, f)

@@ -9,6 +9,14 @@ order-2 draws.  Likewise the momentum-momentum bracket is compared against
 its exact closed form, which vanishes for i != j only where
 ``d_i s = d_j s = 0``, so for every ``s`` only in one dimension.
 
+Not every check guards the correction term ``G(s, a, b)``.  Bilinearity,
+generalized leibniz, jacobi decomposition and hermitian split hold for any
+bilinear ``G`` (the Leibniz check's right side contains ``G`` itself, and
+``N_cl = N_cc + N_ll`` follows from bilinearity), so they do not guard it;
+nor do constant structure degenerates, where ``[s, .]`` vanishes, and
+classical brackets, which never calls it.  ``tests/test_brackets.py`` pins
+which checks a wrong ``G`` gets past.
+
 Each identity is stated once, here: the unit tests and the acceptance gate
 call these checks, or the ``*_hold(s)`` predicates they are built from.
 """
