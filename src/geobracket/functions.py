@@ -12,32 +12,95 @@ the real combinations ``sin``/``cos`` built from them.
 canonical form shared by coefficient functions and by differential
 operators (:mod:`geobracket.operators`, whose terms map a derivative
 multi-index to a :class:`CoefFn`): no zero coefficients, unique validated
-keys, and insertion order kept.  Every sum of terms goes through
-:func:`accumulate`, so a key keeps its first position unless its sum
-cancels.  Insertion order is not the text order: :mod:`geobracket.printing`
-sorts the terms when it renders them.
+keys, and insertion order kept.  Every sum and difference of term maps goes
+through :func:`accumulate`, so a key keeps its first position unless its
+sum cancels.  Insertion order is not the text order:
+:mod:`geobracket.printing` sorts the terms when it renders them.
+
+Every product of coefficient functions goes through one kernel,
+:func:`multiply_into`.  It adds ``weight * f * g`` into a map from term key
+to a raw Gaussian-integer triple ``(x, y, d)`` meaning ``(x + y i) / d``,
+combines unequal denominators by their lcm and drops a key whose sum
+cancels, as :func:`accumulate` does; :func:`finish` then normalizes each
+sum once into a :class:`ComplexRational`.  That is the discipline of
+FLINT's ``fmpq_poly``: integer numerators, normalized once per operation.
+``CoefFn * CoefFn`` is one kernel call and one finish, and
+:func:`geobracket.operators.compose` runs its whole Leibniz sum through the
+kernel and finishes once per output coefficient.  Each ``CoefFn`` keeps a
+memo of the derivatives ``d^gamma f`` asked of it
+(:meth:`CoefFn.derivative`), so a structure function reused across many
+products is differentiated once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import add
 
 from .errors import DimensionMismatch
-from .scalars import I, ONE, ZERO, ComplexRational
+from .scalars import I, ONE, ZERO, ComplexRational, _normalized
 
 
-def accumulate(acc: dict, items) -> dict:
-    """Add ``(key, value)`` pairs into ``acc``, dropping keys that sum to zero."""
+def accumulate(acc: dict, items, negate: bool = False) -> dict:
+    """Add ``(key, value)`` pairs into ``acc`` (subtract them when ``negate``),
+    dropping keys whose total is zero."""
     for key, value in items:
         total = acc.get(key)
-        total = value if total is None else total + value
+        if total is None:
+            total = -value if negate else value
+        else:
+            total = total - value if negate else total + value
         if total:
             acc[key] = total
         else:
             acc.pop(key, None)
     return acc
+
+
+def multiply_into(acc: dict, f: "CoefFn", g: "CoefFn", weight: int, key_sums: dict) -> dict:
+    """Add ``weight * f * g`` into ``acc``, a map from term key to a raw
+    nonzero triple ``(x, y, d)`` meaning ``(x + y i) / d`` with ``d > 0``,
+    not reduced; a key whose sum cancels is dropped, as in
+    :func:`accumulate`.  ``key_sums`` memoizes the key of each pair of term
+    keys over one run of calls; :func:`finish` turns ``acc`` into a
+    ``CoefFn``."""
+    g_terms = g.terms.items()
+    for k1, (a1, b1, d1) in f.terms.items():
+        if weight != 1:
+            a1, b1 = a1 * weight, b1 * weight
+        for k2, (a2, b2, d2) in g_terms:
+            pair = (k1, k2)
+            key = key_sums.get(pair)
+            if key is None:
+                key = key_sums[pair] = (
+                    tuple(map(add, k1[0], k2[0])),
+                    tuple(map(add, k1[1], k2[1])),
+                )
+            x, y, d = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2
+            total = acc.get(key)
+            if total is None:
+                acc[key] = (x, y, d)
+                continue
+            tx, ty, td = total
+            if td == d:
+                x, y = tx + x, ty + y
+            else:
+                m = math.gcd(td, d)
+                u, v = d // m, td // m
+                x, y, d = tx * u + x * v, ty * u + y * v, td * u
+            if x or y:
+                acc[key] = (x, y, d)
+            else:
+                del acc[key]
+    return acc
+
+
+def finish(dim: int, acc: dict) -> "CoefFn":
+    """The ``CoefFn`` of a :func:`multiply_into` map, each sum normalized once."""
+    return CoefFn._wrap(dim, {key: _normalized(*triple) for key, triple in acc.items()})
 
 
 @dataclass(frozen=True)
@@ -88,7 +151,10 @@ class TermMap:
     def __sub__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self + (-other)
+        self._check_dim(other)
+        return self._wrap(
+            self.dim, accumulate(dict(self.terms), other.terms.items(), negate=True)
+        )
 
     def __neg__(self):
         return self._wrap(self.dim, {k: -c for k, c in self.terms.items()})
@@ -128,12 +194,7 @@ class CoefFn(TermMap):
         if not isinstance(other, CoefFn):
             return NotImplemented
         self._check_dim(other)
-        products = (
-            ((tuple(map(add, nu1, nu2)), tuple(map(add, k1, k2))), c1 * c2)
-            for (nu1, k1), c1 in self.terms.items()
-            for (nu2, k2), c2 in other.terms.items()
-        )
-        return CoefFn._wrap(self.dim, accumulate({}, products))
+        return finish(self.dim, multiply_into({}, self, other, 1, {}))
 
     def scaled(self, value) -> "CoefFn":
         value = ComplexRational(value)
@@ -150,6 +211,35 @@ class CoefFn(TermMap):
         if not 0 <= axis < self.dim:
             raise IndexError(f"axis {axis} out of range for dim {self.dim}")
         return CoefFn._wrap(self.dim, accumulate({}, self._diff_terms(axis)))
+
+    @cached_property
+    def _derivatives(self) -> dict:
+        """``d^gamma self`` by multi-index ``gamma``, filled on demand by
+        ``derivative``."""
+        return {}
+
+    def derivative(self, gamma) -> "CoefFn":
+        """``d^gamma self`` for a multi-index tuple ``gamma``; each is one
+        ``diff`` of a lower derivative and is computed once per instance."""
+        if not any(gamma):
+            return self
+        derivs = self._derivatives
+        cached = derivs.get(gamma)
+        if cached is None:
+            axis = next(i for i, g in enumerate(gamma) if g)
+            lower = gamma[:axis] + (gamma[axis] - 1,) + gamma[axis + 1:]
+            cached = derivs[gamma] = self.derivative(lower).diff(axis)
+        return cached
+
+    @cached_property
+    def derivative_caps(self) -> tuple:
+        """Per axis ``j``, the order past which ``d_j`` annihilates ``self``:
+        the largest ``nu_j``, or infinity when some term has ``kappa_j != 0``."""
+        caps = [0] * self.dim
+        for nu, kappa in self.terms:
+            for j, k in enumerate(kappa):
+                caps[j] = math.inf if k else max(caps[j], nu[j])
+        return tuple(caps)
 
     def _diff_terms(self, axis: int):
         for (nu, kappa), coeff in self.terms.items():

@@ -12,8 +12,12 @@ explains) term blow-up in nested brackets.
 
 A ``DiffOp`` is a :class:`~geobracket.functions.TermMap` from multi-indices
 ``alpha`` to coefficient functions; construction, addition, the zero test
-and the accumulate-and-prune loop of :func:`compose` are those of
-:mod:`geobracket.functions`.  The text form (``str``) and its term order
+and the product kernel are those of :mod:`geobracket.functions`.
+:func:`compose` adds every Leibniz piece into one raw accumulator per
+output multi-index and normalizes each output coefficient once; the
+derivatives ``d^gamma c`` come from the memo on each coefficient, so an
+operand reused across products (the structure function ``s`` above all)
+is differentiated once.  The text form (``str``) and its term order
 are :mod:`geobracket.printing`'s.
 """
 
@@ -23,22 +27,12 @@ import itertools
 import math
 
 from .errors import DimensionMismatch
-from .functions import CoefFn, TermMap, accumulate, const, coord, one, zero
+from .functions import CoefFn, TermMap, const, coord, finish, multiply_into, one, zero
 from .scalars import ComplexRational
 
 
 def _multi_binom(alpha, beta) -> int:
     return math.prod(math.comb(a, b) for a, b in zip(alpha, beta))
-
-
-def _derivative_caps(fn: CoefFn):
-    """Per axis ``j``, the order past which ``d_j`` annihilates ``fn``: the
-    largest ``nu_j``, or infinity when some term has ``kappa_j != 0``."""
-    caps = [0] * fn.dim
-    for nu, kappa in fn.terms:
-        for j, k in enumerate(kappa):
-            caps[j] = math.inf if k else max(caps[j], nu[j])
-    return caps
 
 
 class DiffOp(TermMap):
@@ -80,10 +74,10 @@ class DiffOp(TermMap):
                 f"operator over {self.dim} coordinates applied to function over {psi.dim}"
             )
         acc: dict = {}
-        deriv_of = _derivatives(psi)
+        key_sums: dict = {}
         for alpha, coeff in self.terms.items():
-            accumulate(acc, (coeff * deriv_of(alpha)).terms.items())
-        return CoefFn._wrap(self.dim, acc)
+            multiply_into(acc, coeff, psi.derivative(alpha), 1, key_sums)
+        return finish(self.dim, acc)
 
     # -- views ---------------------------------------------------------------
 
@@ -140,49 +134,38 @@ def momentum(dim: int, axis: int = 0, hbar=1) -> DiffOp:
 
 
 def compose(a: DiffOp, b: DiffOp) -> DiffOp:
-    """Operator product ``a b`` in normal form."""
+    """Operator product ``a b`` in normal form.
+
+    For each ``cb d^beta`` of ``b``, ``alpha`` of ``a`` and ``gamma <=
+    alpha``, the Leibniz rule adds ``binom(alpha, gamma) c_alpha (d^gamma
+    cb)`` at ``d^(alpha - gamma + beta)``.  ``gamma`` stops at the
+    derivative caps of ``cb``, so a high power ``d^alpha`` costs what ``cb``
+    needs.  Every piece goes through the one product kernel, and each
+    output coefficient is normalized once at the end."""
     a._check_dim(b)
-    acc: dict = {}
+    accs: dict = {}
+    key_sums: dict = {}
     for beta, cb in b.terms.items():
-        accumulate(acc, _leibniz_terms(a, beta, cb))
-    return DiffOp._wrap(a.dim, acc)
-
-
-def _derivatives(fn: CoefFn):
-    """Memoised ``gamma -> d^gamma fn``; each is one ``diff`` of a cached parent."""
-    derivs = {(0,) * fn.dim: fn}
-
-    def deriv_of(gamma):
-        cached = derivs.get(gamma)
-        if cached is None:
-            axis = next(i for i, g in enumerate(gamma) if g)
-            parent = tuple(g - 1 if i == axis else g for i, g in enumerate(gamma))
-            cached = deriv_of(parent).diff(axis)
-            derivs[gamma] = cached
-        return cached
-
-    return deriv_of
-
-
-def _leibniz_terms(a: DiffOp, beta, cb: CoefFn):
-    """Terms of ``a (cb d^beta)`` by the Leibniz rule: for each ``alpha`` of
-    ``a`` and ``gamma <= alpha``, ``binom(alpha, gamma) c_alpha (d^gamma cb)``
-    at ``d^(alpha - gamma + beta)``.  ``gamma`` stops at the derivative caps
-    of ``cb``, so a high power ``d^alpha`` costs what ``cb`` needs."""
-    deriv_of = _derivatives(cb)
-    caps = _derivative_caps(cb)
-    for alpha, ca in a.terms.items():
-        ranges = [range(min(al, cap) + 1) for al, cap in zip(alpha, caps)]
-        for gamma in itertools.product(*ranges):
-            deriv = deriv_of(gamma)
-            if deriv.is_zero:
-                continue
-            weight = _multi_binom(alpha, gamma)
-            key = tuple(al - g + be for al, g, be in zip(alpha, gamma, beta))
-            piece = ca * deriv
-            if weight != 1:
-                piece = piece.scaled(weight)
-            yield key, piece
+        for alpha, ca in a.terms.items():
+            if any(alpha):
+                caps = cb.derivative_caps
+                gammas = itertools.product(
+                    *[range(min(al, cap) + 1) for al, cap in zip(alpha, caps)]
+                )
+            else:
+                gammas = (alpha,)
+            for gamma in gammas:
+                deriv = cb.derivative(gamma)
+                if deriv.is_zero:
+                    continue
+                key = tuple(al - g + be for al, g, be in zip(alpha, gamma, beta))
+                acc = accs.setdefault(key, {})
+                multiply_into(acc, ca, deriv, _multi_binom(alpha, gamma), key_sums)
+                # A coefficient that cancels re-enters at the end, as in
+                # ``accumulate``, so the key order is that of a sum of pieces.
+                if not acc:
+                    del accs[key]
+    return DiffOp._wrap(a.dim, {key: finish(a.dim, acc) for key, acc in accs.items()})
 
 
 def commutator(a: DiffOp, b: DiffOp) -> DiffOp:

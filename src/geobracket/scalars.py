@@ -90,6 +90,10 @@ class ComplexRational(tuple):
             return NotImplemented
         a1, b1, d1 = self
         a2, b2, d2 = other
+        if not (a2 or b2):
+            return self
+        if not (a1 or b1):
+            return -other
         if d1 == d2:
             return _normalized(a1 - a2, b1 - b2, d1)
         return _normalized(a1 * d2 - a2 * d1, b1 * d2 - b2 * d1, d1 * d2)

@@ -1,5 +1,9 @@
 """Closure, ring axioms, and exact differentiation of coefficient functions."""
 
+import copy
+import itertools
+import pickle
+
 import pytest
 
 from geobracket.functions import (
@@ -15,7 +19,7 @@ from geobracket.functions import (
     zero,
 )
 from geobracket.errors import DimensionMismatch
-from geobracket.operators import DiffOp, partial_d
+from geobracket.operators import DiffOp, compose, mult, partial_d
 from geobracket.randomized import random_coef_fn, trial_rng
 from geobracket.scalars import ComplexRational
 
@@ -132,6 +136,80 @@ def test_conjugate_matches_frequency_flip():
     g = f.conjugate()
     assert g == exponential(1, (-I,)).scaled(ComplexRational(1, -2))
     assert (f + g).is_real
+
+
+# -- the per-instance derivative memo ----------------------------------------------
+
+
+def _iterated_diff(f, gamma):
+    for axis, count in enumerate(gamma):
+        for _ in range(count):
+            f = f.diff(axis)
+    return f
+
+
+def _memo_case():
+    """Two equal, separately built functions with a plane wave along x1."""
+    wave = exponential(2, (I, ComplexRational()))
+    return tuple(
+        random_coef_fn(trial_rng(24, "memo", 0), 2) + monomial(2, (2, 1)) + wave
+        for _ in range(2)
+    )
+
+
+def test_derivative_memo_matches_repeated_diff():
+    f, _ = _memo_case()
+    gammas = list(itertools.product(range(4), range(3)))
+    for gamma in gammas:
+        assert f.derivative(gamma) == _iterated_diff(f, gamma)
+    assert f.derivative((0, 0)) is f
+    memo = f._derivatives
+    assert (0, 0) not in memo and len(memo) == len(gammas) - 1
+    for gamma, value in memo.items():
+        assert f.derivative(gamma) is value
+        assert value == _iterated_diff(f, gamma)
+    assert f.derivative_caps[0] == float("inf")
+    assert monomial(2, (2, 1)).derivative_caps == (2, 1)
+    assert exponential(2, (I, ComplexRational())).derivative_caps == (float("inf"), 0)
+
+
+def test_filled_memo_is_not_part_of_the_value():
+    f, fresh = _memo_case()
+    f.derivative((2, 1))
+    assert f.derivative_caps[0] == float("inf")
+    assert f._derivatives and "_derivatives" not in vars(fresh)
+    assert f == fresh and fresh == f
+    assert str(f) == str(fresh) and repr(f) == repr(fresh)
+    for twin in (copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert twin == f == fresh
+        assert str(twin) == str(fresh)
+        assert twin.derivative((2, 1)) == fresh.derivative((2, 1))
+
+
+def test_second_compose_reuses_the_derivatives(monkeypatch):
+    s, _ = _memo_case()
+    a = partial_d(2, 0, 2) + DiffOp(2, {(1, 1): coord(2, 1)})
+    right = mult(s)
+    calls = []
+    diff = CoefFn.diff
+
+    def counting_diff(self, axis):
+        calls.append(axis)
+        return diff(self, axis)
+
+    monkeypatch.setattr(CoefFn, "diff", counting_diff)
+    first = compose(a, right)
+    assert calls
+    calls.clear()
+    assert compose(a, right) == first
+    assert compose(a, mult(s)) == first
+    assert calls == []
+
+
+def test_zero_order_product_computes_no_derivative():
+    s, _ = _memo_case()
+    compose(mult(coord(2, 0)) + mult(one(2)), mult(s))
+    assert "derivative_caps" not in vars(s) and "_derivatives" not in vars(s)
 
 
 # -- the shared term-map kernel -----------------------------------------------------

@@ -45,6 +45,15 @@ def test_additive_inverse(a):
 
 
 @given(scalars)
+def test_zero_operand_takes_the_shortcut(a):
+    zero = ComplexRational()
+    assert a + zero is a and a - zero is a and a - 0 is a
+    assert zero + a == a and zero - a == -a
+    if a:
+        assert zero + a is a
+
+
+@given(scalars)
 def test_division_inverts_multiplication(a):
     if a:
         assert (a / a) == ComplexRational(1)

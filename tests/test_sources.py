@@ -6,6 +6,11 @@
 ``feature_version`` lets two things through, so ``parse_as_3_10`` also walks
 the tree and refuses them: a starred subscript ``a[*b]`` and an import of a
 standard-library module that first shipped in 3.11 (``NEW_IN_3_11``).
+
+The raw-triple constructor ``scalars._normalized`` builds a
+``ComplexRational`` from integers it trusts to be a valid ``(a, b, d)``.
+Only the scalar arithmetic and the one product kernel may call it, so
+``OWNERS`` names the two files that may refer to it.
 """
 
 import ast
@@ -18,6 +23,9 @@ SOURCE_DIRS = ("src", "tests", "perfbench", "demos")
 SOURCES = sorted(path for name in SOURCE_DIRS for path in (ROOT / name).rglob("*.py"))
 
 NEW_IN_3_11 = frozenset({"tomllib", "wsgiref.types"})
+
+PRIVATE = "_normalized"
+OWNERS = frozenset({"src/geobracket/scalars.py", "src/geobracket/functions.py"})
 
 
 def _imported_modules(node):
@@ -39,6 +47,18 @@ def parse_as_3_10(source, filename="<source>"):
             if any(module == new or module.startswith(new + ".") for new in NEW_IN_3_11):
                 raise SyntaxError(f"{filename}:{node.lineno}: {module} needs 3.11")
     return tree
+
+
+def refers_to(tree, name):
+    """True when ``tree`` names ``name``: as a name, an attribute or an import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == name:
+            return True
+        if isinstance(node, ast.Attribute) and node.attr == name:
+            return True
+        if isinstance(node, ast.alias) and name in node.name.split("."):
+            return True
+    return False
 
 
 def test_every_source_directory_has_files():
@@ -73,3 +93,27 @@ def test_newer_syntax_is_refused(source):
     with pytest.raises(SyntaxError):
         parse_as_3_10(source)
 
+
+
+def test_raw_triple_constructor_stays_in_the_kernel():
+    users = {
+        str(path.relative_to(ROOT))
+        for path in SOURCES
+        if refers_to(ast.parse(path.read_text(encoding="utf-8")), PRIVATE)
+    }
+    assert users == OWNERS
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("from geobracket.scalars import _normalized\n", True),
+        ("import geobracket.scalars as s\nz = s._normalized(1, 0, 1)\n", True),
+        ("z = _normalized(1, 0, 1)\n", True),
+        ("text = '_normalized'\n", False),
+        ("z = normalized(1, 0, 1)\n", False),
+    ],
+    ids=["import", "attribute", "name", "string", "other-name"],
+)
+def test_reference_detector(source, found):
+    assert refers_to(ast.parse(source), PRIVATE) is found
