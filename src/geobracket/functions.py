@@ -261,9 +261,10 @@ class CoefFn(TermMap):
 
     # -- predicates and views ---------------------------------------------
 
-    @property
+    @cached_property
     def is_real(self) -> bool:
-        """True when the function equals its complex conjugate."""
+        """True when the function equals its complex conjugate; computed
+        once per instance."""
         return self == self.conjugate()
 
     @property

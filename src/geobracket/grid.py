@@ -32,11 +32,17 @@ escapes them either.
 
 Size budget: a grid has at most ``MAX_POINTS`` (2048) points, since every
 operator is a dense n x n complex matrix (64 MiB at the cap); larger sizes
-are rejected with ``ValueError`` before anything is allocated.
+are rejected with ``ValueError`` before anything is allocated.  At most
+four such matrices are alive at once: ``matrix_bracket`` holds ``a``,
+``b``, one scaled operand and the result, and ``compare`` holds the
+numeric matrix, its own discretization and the band-limited transform of
+their difference.
 
 Every ``D^k`` is built by ``derivative_matrix(spec, k)`` and cached per
-spec.  A coefficient or structure function is a multiplication operator,
-so it stays a vector of samples instead of taking part in a dense product.
+spec; a spectral power is a read-only circulant view of 2n values, not a
+dense matrix.  A coefficient or structure function is a multiplication
+operator, so it stays a vector of samples instead of taking part in a
+dense product.
 """
 
 from __future__ import annotations
@@ -58,7 +64,7 @@ from .quantum import LAWS
 SCHEMES = ("spectral", "central2")
 
 # Grid-size budget: every operator is a dense n x n complex matrix, and a
-# bracket check holds several of them at once.
+# bracket check holds up to four of them at once.
 MAX_POINTS = 2048
 
 
@@ -97,13 +103,11 @@ class GridSpec:
         return {}
 
     def derivative_power(self, order: int) -> np.ndarray:
-        """Read-only ``derivative_matrix(self, order)``, built at most once
-        for this spec."""
+        """``derivative_matrix(self, order)``, built at most once for this
+        spec."""
         powers = self._derivative_powers
         if order not in powers:
-            power = derivative_matrix(self, order)
-            power.setflags(write=False)
-            powers[order] = power
+            powers[order] = derivative_matrix(self, order)
         return powers[order]
 
 
@@ -115,14 +119,14 @@ def _wavenumbers(n: int) -> np.ndarray:
 
 
 def _circulant(column: np.ndarray) -> np.ndarray:
-    """The circulant ``C[i, j] = column[(i - j) % n]``.
+    """The circulant ``C[i, j] = column[(i - j) % n]`` as a read-only view.
 
     Row ``i`` is a contiguous window of the reversed column repeated twice,
-    so the matrix is one copy of a strided view.
+    so the matrix is a strided view of 2n values.
     """
     n = len(column)
     reversed_twice = np.concatenate((column[::-1], column[::-1]))
-    return np.ascontiguousarray(sliding_window_view(reversed_twice, n)[n - 1 :: -1])
+    return sliding_window_view(reversed_twice, n)[n - 1 :: -1]
 
 
 def derivative_matrix(spec: GridSpec, order: int = 1) -> np.ndarray:
@@ -132,12 +136,16 @@ def derivative_matrix(spec: GridSpec, order: int = 1) -> np.ndarray:
     built from a first column ``c``.  Under ``spectral`` ``D^order`` is
     ``ifft . diag((i k)^order) . fft``, the circulant of ``ifft((i
     k)^order)``, with integer wavenumbers ``k in {-n/2+1, ..., n/2}``:
-    O(n log n + n^2) work, and ``D`` is anti-Hermitian and exact on
+    O(n log n) work, and ``D`` is anti-Hermitian and exact on
     resolved modes.  The Nyquist mode is assigned ``+n/2`` so that every
     order carries the full symbol (zeroing it would misplace that mode's
     frequency in every even-order derivative).  Under ``central2`` ``D`` has
     ``+-1/(2h)`` at the two neighbours, the central difference ``(f[i+1] -
     f[i-1]) / (2h)``, and ``D^order`` is its matrix power.
+
+    The result is read-only.  Under ``spectral`` it is the circulant view
+    of the symbol column (2n values, O(n) memory); under ``central2`` it is
+    a dense matrix.
     """
     n = spec.n_points
     if spec.scheme == "spectral":
@@ -146,7 +154,11 @@ def derivative_matrix(spec: GridSpec, order: int = 1) -> np.ndarray:
     column[1] -= 1.0
     column[-1] += 1.0
     column /= 2.0 * spec.spacing
-    return np.linalg.matrix_power(_circulant(column), order)
+    # A dense copy: not every supported numpy hands a product of strided
+    # views to BLAS, and another kernel would change the powers' rounding.
+    power = np.linalg.matrix_power(np.ascontiguousarray(_circulant(column)), order)
+    power.setflags(write=False)
+    return power
 
 
 def _finite(values: np.ndarray, what: str) -> np.ndarray:
@@ -219,26 +231,40 @@ def discretize(op: DiffOp, spec: GridSpec) -> GridOp:
     """Realize ``sum_alpha c_alpha d^alpha`` as ``sum diag(c_alpha) D^alpha``.
 
     Each ``diag(c_alpha) D^alpha`` is formed by scaling the rows of the
-    spec's cached power ``D^alpha`` by the samples of ``c_alpha`` (the
-    order-0 term is added to the diagonal): O(n^2) per term instead of a
-    dense O(n^3) product.
+    spec's cached power ``D^alpha`` by the samples of ``c_alpha`` into one
+    scratch matrix, reused across terms (the order-0 term is added to the
+    diagonal): O(n^2) per term instead of a dense O(n^3) product.
     """
     if op.dim != 1:
         raise DimensionMismatch("the grid oracle is one-dimensional")
-    out = np.zeros((spec.n_points, spec.n_points), dtype=complex)
+    n = spec.n_points
+    out = np.zeros((n, n), dtype=complex)
+    scratch = np.empty_like(out)
     with np.errstate(all="ignore"):
         for (order,), coeff in op.terms.items():
             values = sample(coeff, spec)
             if order:
-                out += values[:, None] * spec.derivative_power(order)
+                np.multiply(values[:, None], spec.derivative_power(order), out=scratch)
+                out += scratch
             else:
-                out[np.diag_indices(spec.n_points)] += values
+                out[np.diag_indices(n)] += values
     return GridOp(_finite(out, f"the matrix entries of {op}"), spec)
 
 
-def _s_difference(s: np.ndarray) -> np.ndarray:
-    """``C[i, j] = s_i - s_j``, so that ``C * X`` is ``[diag(s), X]``."""
-    return s[:, None] - s[None, :]
+def _s_difference(s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``C[i, j] = s_i - s_j``, so that ``C * X`` is ``[diag(s), X]``;
+    written into ``out`` when given."""
+    return np.subtract(s[:, None], s[None, :], out=out)
+
+
+def _factor_times(s, plus_one, x, out):
+    """``(1 + C) * x`` if ``plus_one``, else ``C * x``, with ``C =
+    _s_difference(s)`` written afresh into ``out`` and scaled there."""
+    _s_difference(s, out)
+    if plus_one:
+        out += 1.0
+    out *= x
+    return out
 
 
 def matrix_bracket(
@@ -252,8 +278,11 @@ def matrix_bracket(
 
     Each ``[s, X]`` is ``C * X`` with ``C = _s_difference(s)``, so the dense
     products are only those with ``a`` and ``b``: two for each kind, with
-    ``qcpb`` as ``a ((1 + C) * b) - b ((1 + C) * a)``; the one factor
-    matrix is scaled by ``a`` in place.
+    ``qcpb`` as ``a ((1 + C) * b) - b ((1 + C) * a)``.  Four n x n matrices
+    are alive at most: ``a``, ``b``, one scratch matrix, into which the
+    factor is written afresh and scaled in place for each operand, and the
+    result; the second product is written into ``a``'s matrix, which is no
+    longer needed.
     An unknown ``kind`` is refused before anything is sampled, and ``s`` is
     sampled (so, under ``spectral``, checked) before any operator is
     discretized, except under ``qpb``, which does not use it.  A result
@@ -270,12 +299,10 @@ def matrix_bracket(
             out = a_mat @ b_mat
             out -= b_mat @ a_mat
         else:
-            factor = _s_difference(s_vec)
-            if kind == "qcpb":
-                factor += 1.0
-            out = a_mat @ (factor * b_mat)
-            factor *= a_mat
-            out -= b_mat @ factor
+            plus_one = kind == "qcpb"
+            scratch = np.empty_like(a_mat)
+            out = a_mat @ _factor_times(s_vec, plus_one, b_mat, scratch)
+            out -= np.matmul(b_mat, _factor_times(s_vec, plus_one, a_mat, scratch), out=a_mat)
     return GridOp(_finite(out, f"the matrix entries of the {kind} of {a} and {b}"), spec)
 
 
@@ -344,7 +371,8 @@ def compare(
         num_action = numeric.matrix @ psi_vec
 
         op_scale = max(_band_limited_norm(sym_mat), 1.0)
-        spectral = _band_limited_norm(sym_mat - numeric.matrix) / op_scale
+        sym_mat -= numeric.matrix
+        spectral = _band_limited_norm(sym_mat) / op_scale
 
         # Scale the action defect by the larger of the action itself and the
         # operator scale applied to psi, so tiny-norm totals do not inflate it.

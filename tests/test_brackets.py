@@ -14,6 +14,7 @@ from geobracket.brackets import (
 )
 from geobracket.errors import DimensionMismatch, NonRealStructureFunction
 from geobracket.functions import (
+    CoefFn,
     const,
     coord,
     exponential,
@@ -79,6 +80,31 @@ def test_position_momentum_geomutator_value():
 def test_non_real_structure_rejected():
     with pytest.raises(NonRealStructureFunction):
         qcpb(EXP_IX, partial_d(1), position(1))
+
+
+def test_second_bracket_with_the_same_s_takes_no_conjugate(monkeypatch):
+    rng = trial_rng(1, "is-real-memo", 0)
+    s = random_structure_fn(rng, 2)
+    a = random_diff_op(rng, 2)
+    b = random_diff_op(rng, 2)
+    calls = []
+    conjugate = CoefFn.conjugate
+
+    def counting_conjugate(self):
+        calls.append(self)
+        return conjugate(self)
+
+    monkeypatch.setattr(CoefFn, "conjugate", counting_conjugate)
+    first = qcpb(s, a, b)
+    assert calls == [s]
+    calls.clear()
+    assert qcpb(s, b, a).total == -first.total
+    assert calls == []
+    wave = exponential(1, (I,))
+    for _ in range(2):
+        with pytest.raises(NonRealStructureFunction):
+            qcpb(wave, partial_d(1), position(1))
+    assert calls == [wave]
 
 
 def test_dimension_mismatch_rejected():

@@ -186,6 +186,20 @@ def test_filled_memo_is_not_part_of_the_value():
         assert twin.derivative((2, 1)) == fresh.derivative((2, 1))
 
 
+def test_memoized_is_real_is_not_part_of_the_value():
+    f, fresh = _memo_case()
+    real = sin_of(1) + monomial(1, (2,))
+    assert real.is_real and not f.is_real
+    assert "is_real" in vars(f) and "is_real" not in vars(fresh)
+    assert f == fresh and fresh == f
+    assert str(f) == str(fresh) and repr(f) == repr(fresh)
+    for twin in (copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert twin == f == fresh
+        assert str(twin) == str(fresh) and twin.is_real is False
+    for twin in (copy.deepcopy(real), pickle.loads(pickle.dumps(real))):
+        assert twin == real and twin.is_real is True
+
+
 def test_second_compose_reuses_the_derivatives(monkeypatch):
     s, _ = _memo_case()
     a = partial_d(2, 0, 2) + DiffOp(2, {(1, 1): coord(2, 1)})

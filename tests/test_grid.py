@@ -1,10 +1,12 @@
 """Matrix oracle: discretization, bracket recomputation, and flows."""
 
 import tracemalloc
+from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from refusals import non_periodic_message
 from scipy.linalg import expm
 
@@ -20,6 +22,7 @@ from geobracket import grid as grid_module
 from geobracket.grid import (
     LAWS,
     MAX_POINTS,
+    ComparisonReport,
     GridSpec,
     _band_limited_norm,
     compare,
@@ -701,6 +704,154 @@ def test_central2_derivative_powers_are_matrix_powers_bitwise(n):
     for order in range(5):
         reference = np.linalg.matrix_power(d1, order)
         assert spec.derivative_power(order).tobytes() == reference.tobytes()
+
+
+# -- the four-buffer oracle against the dense-copy expressions, bit for bit ----
+
+
+def _old_circulant(column):
+    n = len(column)
+    reversed_twice = np.concatenate((column[::-1], column[::-1]))
+    return np.ascontiguousarray(sliding_window_view(reversed_twice, n)[n - 1 :: -1])
+
+
+def _old_discretize(op, spec):
+    """``discretize`` with a dense copy of each spectral ``D^k``."""
+    n = spec.n_points
+    wavenumbers = np.fft.fftfreq(n, d=1.0 / n)
+    wavenumbers[n // 2] = n / 2
+    out = np.zeros((n, n), dtype=complex)
+    for (order,), coeff in op.terms.items():
+        values = sample(coeff, spec)
+        if order:
+            power = _old_circulant(np.fft.ifft((1j * wavenumbers) ** order))
+            out += values[:, None] * power
+        else:
+            out[np.diag_indices(n)] += values
+    return out
+
+
+def _old_matrix_bracket(s, a, b, spec, kind):
+    """``matrix_bracket`` holding the factor ``(1 +) s_i - s_j`` throughout."""
+    a_mat = _old_discretize(a, spec)
+    b_mat = _old_discretize(b, spec)
+    if kind == "qpb":
+        out = a_mat @ b_mat
+        out -= b_mat @ a_mat
+        return out
+    s_vec = sample(s, spec)
+    factor = s_vec[:, None] - s_vec[None, :]
+    if kind == "qcpb":
+        factor += 1.0
+    out = a_mat @ (factor * b_mat)
+    factor *= a_mat
+    out -= b_mat @ factor
+    return out
+
+
+def _old_compare(symbolic, numeric, psi, tolerance):
+    """``compare`` with the difference matrix formed out of place."""
+    spec = numeric.spec
+    psi_vec = sample(psi, spec)
+    sym_mat = _old_discretize(symbolic, spec)
+    sym_action = sym_mat @ psi_vec
+    num_action = numeric.matrix @ psi_vec
+    op_scale = max(_band_limited_norm(sym_mat), 1.0)
+    spectral = _band_limited_norm(sym_mat - numeric.matrix) / op_scale
+    action_scale = max(
+        float(np.linalg.norm(sym_action)),
+        op_scale * float(np.linalg.norm(psi_vec)),
+    )
+    l2 = float(np.linalg.norm(sym_action - num_action)) / action_scale
+    return ComparisonReport(l2, spectral, tolerance)
+
+
+def _second_order_pair(index):
+    """A seeded real ``s`` and operands ``a``, ``b``, one of them of order 2."""
+    rng = trial_rng(26, "four-buffers", index)
+    while True:
+        s = random_periodic_fn(rng, real=True)
+        a = random_periodic_diff_op(rng)
+        b = random_periodic_diff_op(rng)
+        if 2 in (order for op in (a, b) for (order,) in op.terms):
+            return s, a, b
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("index", range(3))
+def test_oracle_is_bitwise_the_dense_copy_oracle(n, index):
+    s, a, b = _second_order_pair(index)
+    for op in (a, b):
+        matrix = discretize(op, GridSpec(n)).matrix
+        assert matrix.tobytes() == _old_discretize(op, GridSpec(n)).tobytes()
+    for kind in ("qpb", "geomutator", "qcpb"):
+        numeric = matrix_bracket(s, a, b, GridSpec(n), kind)
+        reference = _old_matrix_bracket(s, a, b, GridSpec(n), kind)
+        assert numeric.matrix.tobytes() == reference.tobytes()
+        symbolic = {"qpb": commutator(a, b), "geomutator": geomutator(s, a, b),
+                    "qcpb": qcpb(s, a, b).total}[kind]
+        for psi in (E_IX, cos_of(1)):
+            report = compare(symbolic, numeric, psi, 1e-10)
+            old = _old_compare(symbolic, numeric, psi, 1e-10)
+            # Every field bit for bit (float.hex tells -0.0 from 0.0).
+            assert [x.hex() for x in astuple(report)] == [x.hex() for x in astuple(old)]
+            assert report.passed == old.passed
+
+
+def _traced_peak(call):
+    """``(result, peak)``: the call's result and its tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def _budget_operands():
+    """``s``, and ``a`` and ``b`` of orders 1 and 2."""
+    a = mult(E_IX).scaled(-I) * partial_d(1)
+    return cos_of(1), a, mult(E_IX) * partial_d(1, 0, 2) + mult(E_IX)
+
+
+@pytest.mark.parametrize("kind", ["qpb", "geomutator", "qcpb"])
+def test_matrix_bracket_holds_at_most_four_dense_buffers(kind):
+    """``a``, ``b``, one scratch matrix and the result, on a fresh spec, so
+    the spec's ``D^1`` and ``D^2`` are built inside the measurement."""
+    n = 256
+    s, a, b = _budget_operands()
+    _, peak = _traced_peak(lambda: matrix_bracket(s, a, b, GridSpec(n), kind))
+    buffers = peak / (n * n * 16)
+    assert buffers <= 4.5, buffers
+
+
+def test_compare_holds_at_most_four_dense_buffers_with_its_input():
+    """The numeric matrix, the symbolic one, and the band-limited transform
+    (one n x n and one n x (n/2 + 1) matrix), on a fresh spec."""
+    n = 256
+    s, a, b = _budget_operands()
+    numeric = grid_module.GridOp(matrix_bracket(s, a, b, GridSpec(n), "qcpb").matrix, GridSpec(n))
+    symbolic = qcpb(s, a, b).total
+    report, peak = _traced_peak(lambda: compare(symbolic, numeric, E_IX))
+    assert report.passed
+    buffers = (peak + numeric.matrix.nbytes) / (n * n * 16)
+    assert buffers <= 4, buffers
+
+
+def test_warm_spectral_spec_holds_linear_memory_per_order():
+    n = 1024
+    orders = range(1, 5)
+    spec = GridSpec(n)
+    tracemalloc.start()
+    try:
+        powers = [spec.derivative_power(order) for order in orders]
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(power.shape == (n, n) and not power.flags.writeable for power in powers)
+    # 2n complex values per order and the view objects; a dense copy is n^2.
+    assert held <= len(orders) * 3 * n * 16, held
 
 
 def test_band_limited_norm_of_zero_is_exactly_zero():
