@@ -14,7 +14,9 @@ size is refused before any algebra or matrix work.
 Exit codes: 0 success, 2 parse error or invalid input (argparse usage
 errors included, such as a ``--dim``, ``--trials`` or ``--pairs`` below 1,
 or a ``grid-check --tol`` that is negative or not finite; also a rational
-with a zero denominator, an expression nested deeper than
+with a zero denominator or a number longer than Python converts from or to
+text (``sys.get_int_max_str_digits()``, 4300 digits by default) in an
+expression or a result, an expression nested deeper than
 ``parsing.MAX_DEPTH`` (100) levels, a ``--J`` file that is not a JSON list
 of rows, a ``--psi`` that vanishes on every grid point, a grid function
 whose samples are not finite doubles or a ``--psi`` whose squared norm is
@@ -195,8 +197,17 @@ def _emit(payload: dict, as_json: bool, lines) -> None:
 
 def _render(rows):
     """``(JSON key, text label, value)`` rows as JSON fields and text lines,
-    each value rendered once."""
-    fields = {key: str(value) for key, _, value in rows}
+    each value rendered once.  A value holding a number longer than Python
+    converts to text is refused, naming its row."""
+    fields = {}
+    for key, label, value in rows:
+        try:
+            fields[key] = str(value)
+        except ValueError:
+            raise ValueError(
+                f"cannot print {label.rstrip(': ')}: it holds a number of more than "
+                f"{sys.get_int_max_str_digits()} digits"
+            ) from None
     return fields, [label + fields[key] for key, label, _ in rows]
 
 

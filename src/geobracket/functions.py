@@ -291,18 +291,24 @@ def one(dim: int) -> CoefFn:
     return const(dim, 1)
 
 
+def _leaf(dim: int, nu: tuple, kappa: tuple, value: ComplexRational) -> CoefFn:
+    """``value * x^nu * exp(kappa . x)`` from a key its caller built in
+    canonical form (tuples of length ``dim``, ``nu`` non-negative)."""
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
+    return CoefFn._wrap(dim, {(nu, kappa): value} if value else {})
+
+
 def const(dim: int, value) -> CoefFn:
-    value = ComplexRational(value)
-    key = ((0,) * dim, (ZERO,) * dim)
-    return CoefFn(dim, {key: value} if value else {})
+    return _leaf(dim, (0,) * dim, (ZERO,) * dim, ComplexRational(value))
 
 
 def coord(dim: int, axis: int) -> CoefFn:
     """The coordinate function ``x_axis`` (0-based axis)."""
     if not 0 <= axis < dim:
         raise IndexError(f"axis {axis} out of range for dim {dim}")
-    nu = tuple(1 if j == axis else 0 for j in range(dim))
-    return CoefFn(dim, {(nu, (ZERO,) * dim): ONE})
+    nu = (0,) * axis + (1,) + (0,) * (dim - axis - 1)
+    return _leaf(dim, nu, (ZERO,) * dim, ONE)
 
 
 def monomial(dim: int, exponents, coeff=1) -> CoefFn:
@@ -317,7 +323,7 @@ def exponential(dim: int, freqs) -> CoefFn:
     freqs = tuple(ComplexRational(f) for f in freqs)
     if len(freqs) != dim:
         raise ValueError("frequency vector length does not match dim")
-    return CoefFn(dim, {((0,) * dim, freqs): ONE})
+    return _leaf(dim, (0,) * dim, freqs, ONE)
 
 
 def _unit_freqs(dim: int, axis: int, value: ComplexRational):

@@ -17,16 +17,39 @@ terms by derivative multi-index.  So equal values render identically.
 
 from __future__ import annotations
 
+from math import gcd, lcm
+
 from .functions import CoefFn
-from .scalars import ONE, ComplexRational
+from .scalars import ZERO, ComplexRational
+
+
+def _ratio(n: int, d: int) -> str:
+    """``n/d`` in lowest terms, as ``str`` of a ``Fraction`` renders it."""
+    if d == 1:
+        return str(n)
+    g = gcd(n, d)
+    return f"{n // g}/{d // g}" if d != g else str(n // g)
 
 
 def format_scalar(z: ComplexRational) -> str:
-    """Render in the DSL grammar, e.g. ``3/2``, ``-i``, ``1/2 + 3*i``."""
-    if z.is_real:
-        return str(z.re)
-    imag = _coef_term(ComplexRational(z.im), ["i"])
-    return _join_signed([str(z.re), imag]) if z[0] else imag
+    """Render in the DSL grammar, e.g. ``3/2``, ``-i``, ``1/2 + 3*i``.
+
+    Works on the triple ``(a, b, d)``: a real or imaginary value is in
+    lowest terms already, and a mixed one reduces each part by one gcd."""
+    a, b, d = z
+    if not b:
+        return _ratio(a, d)
+    if b == d:
+        imag = "i"
+    elif b == -d:
+        imag = "-i"
+    else:
+        imag = _ratio(b, d) + "*i"
+    if not a:
+        return imag
+    if imag[0] == "-":
+        return f"{_ratio(a, d)} - {imag[1:]}"
+    return f"{_ratio(a, d)} + {imag}"
 
 
 def scalar_needs_parens(z: ComplexRational) -> bool:
@@ -58,18 +81,21 @@ def _coef_term(coeff: ComplexRational, factors: list) -> str:
     if not factors:
         return format_scalar(coeff)
     body = "*".join(factors)
-    if coeff == ONE:
-        return body
-    if coeff == -ONE:
-        return f"-{body}"
+    a, b, d = coeff
+    if not b and d == 1:
+        if a == 1:
+            return body
+        if a == -1:
+            return f"-{body}"
+        return f"{a}*{body}"
     return f"{_scalar_factor(coeff)}*{body}"
 
 
 def _power_factors(letter: str, powers) -> list:
     """``x1^2``-style factors for the nonzero entries of a multi-index."""
     return [
-        f"{letter}{axis + 1}" if power == 1 else f"{letter}{axis + 1}^{power}"
-        for axis, power in enumerate(powers)
+        f"{letter}{axis}" if power == 1 else f"{letter}{axis}^{power}"
+        for axis, power in enumerate(powers, 1)
         if power
     ]
 
@@ -77,28 +103,43 @@ def _power_factors(letter: str, powers) -> list:
 def _term_body(nu, kappa) -> list:
     """Factors of ``x^nu * exp(kappa . x)``, the exponent as a signed sum."""
     factors = _power_factors("x", nu)
-    if any(kappa):
+    # Tuple equality, not a truth test per frequency: is any frequency nonzero?
+    if kappa.count(ZERO) != len(kappa):
         linear_form = _join_signed(
-            _coef_term(freq, [f"x{axis + 1}"]) for axis, freq in enumerate(kappa) if freq
+            _coef_term(freq, [f"x{axis}"]) for axis, freq in enumerate(kappa, 1) if freq
         )
         factors.append(f"exp({linear_form})")
     return factors
 
 
-def _fn_term_order(item):
-    (nu, kappa), _ = item
-    return nu, tuple(k.sort_key() for k in kappa)
+def _sorted_terms(f: CoefFn) -> list:
+    """Terms by monomial, then frequencies by real and imaginary part.
+
+    Every frequency ``(a + b i) / d`` is put over ``scale``, the lcm of
+    their denominators, so the integer pairs ``(a, b) * (scale / d)`` order
+    as the values do."""
+    items = list(f.terms.items())
+    if len(items) < 2:
+        return items
+    scale = lcm(*(q[2] for _, kappa in f.terms for q in kappa))
+
+    def order(item):
+        nu, kappa = item[0]
+        return nu, [(q[0] * (scale // q[2]), q[1] * (scale // q[2])) for q in kappa]
+
+    return sorted(items, key=order)
 
 
 def format_coef_fn(f: CoefFn) -> str:
-    terms = sorted(f.terms.items(), key=_fn_term_order)
+    terms = _sorted_terms(f)
     return _join_signed(_coef_term(c, _term_body(*key)) for key, c in terms) or "0"
 
 
 def format_diff_op(op) -> str:
     """Each term is ``c_alpha * d^alpha``; a coefficient that renders as a
     sum is parenthesised, unless the operator is that coefficient alone."""
-    terms = sorted(op.terms.items(), key=lambda item: item[0])
+    # Keys are unique, so the coefficients are never compared.
+    terms = sorted(op.terms.items())
     if len(terms) == 1 and not any(terms[0][0]):
         return format_coef_fn(terms[0][1])
     addends = []

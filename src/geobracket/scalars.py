@@ -9,8 +9,8 @@ Gaussian-integer numerator over one positive denominator, kept in lowest
 terms (``gcd(a, b, d) == 1``), the layout of FLINT's ``fmpq_poly`` applied
 to a single scalar.  Arithmetic works on the ints and normalizes once per
 operation, so tuple equality and hashing are structural.  The real and
-imaginary parts are available as :class:`~fractions.Fraction` views for
-printing, parsing and ordering.  The text form (``str``) is rendered by
+imaginary parts are available as :class:`~fractions.Fraction` views.  The
+text form (``str``) is rendered from the integer triple by
 :mod:`geobracket.printing`.
 """
 

@@ -613,6 +613,45 @@ def test_outside_input_exits_2(capsys, argv, message):
     assert (code, out, err) == (2, "", message + "\n")
 
 
+# Python's limit on the digits of an int converted from or to text; an
+# interpreter without one has nothing to refuse.
+_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_LONG = "7" * 5000
+needs_digit_limit = pytest.mark.skipif(
+    not 0 < _DIGITS < 5000, reason="no int string conversion limit below 5000 digits"
+)
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("as_json", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--a", f"{_LONG}*x1"], f"parse error: number has more than {_DIGITS} digits (line 1, column 1)"),
+        (["--a", f"x1 + 1/{_LONG}i"],
+         f"parse error: number has more than {_DIGITS} digits (line 1, column 6)"),
+        (["--a", f"x1^{_LONG}"], f"parse error: number has more than {_DIGITS} digits (line 1, column 4)"),
+        (["--a", "(2*x1)^20000"],
+         f"invalid input: cannot print qpb: it holds a number of more than {_DIGITS} digits"),
+    ],
+    ids=["literal", "denominator", "exponent", "result"],
+)
+def test_over_long_numbers_exit_2(capsys, argv, message, as_json):
+    code, out, err = run_cli(
+        capsys, "bracket", "--s", "0", *argv, "--b", "d1", "--kind", "qpb", *as_json
+    )
+    assert (code, out, err) == (2, "", message + "\n")
+
+
+@needs_digit_limit
+def test_over_long_result_names_its_row(capsys):
+    code, out, err = run_cli(
+        capsys, "bracket", "--s", "x1", "--a", "d1", "--b", "(2*x1)^20000", "--kind", "qcpb"
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("invalid input: cannot print qpb part: ")
+
+
 def _ten_to(k):
     return "1" + "0" * k
 
