@@ -34,9 +34,15 @@ Size budget: a grid has at most ``MAX_POINTS`` (2048) points, since every
 operator is a dense n x n complex matrix (64 MiB at the cap); larger sizes
 are rejected with ``ValueError`` before anything is allocated.  At most
 four such matrices are alive at once: ``matrix_bracket`` holds ``a``,
-``b``, one scaled operand and the result, and ``compare`` holds the
-numeric matrix, its own discretization and the band-limited transform of
-their difference.
+``b``, one scaled operand and the result.  ``compare`` certifies a pass
+from row panels of the symbolic operator, beside the numeric matrix, and
+only a comparison the panels cannot pass holds the symbolic matrix and an
+n x (n/2 + 1) band of one of the two (with its conjugate and Gram matrix).
+
+Residuals: on a pass ``compare`` reports certified upper bounds of its
+residuals, from the norm inequalities ``max_j ||X e_j|| <= ||X||_2 <=
+||X||_F``; on a FAIL it reports the exact band-limited 2-norms, and the
+verdict is the exact norms' either way.
 
 Every ``D^k`` is built by ``derivative_matrix(spec, k)`` and cached per
 spec; a spectral power is a read-only circulant view of 2n values, not a
@@ -66,6 +72,11 @@ SCHEMES = ("spectral", "central2")
 # Grid-size budget: every operator is a dense n x n complex matrix, and a
 # bracket check holds up to four of them at once.
 MAX_POINTS = 2048
+
+# Rows per panel where ``compare`` streams an operator instead of holding it.
+# It divides every grid size, and at n = 256 a panel is a sixteenth of a
+# dense matrix.
+PANEL_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -227,28 +238,43 @@ class GridOp:
     spec: GridSpec
 
 
-def discretize(op: DiffOp, spec: GridSpec) -> GridOp:
-    """Realize ``sum_alpha c_alpha d^alpha`` as ``sum diag(c_alpha) D^alpha``.
+def _row_panels(op: DiffOp, spec: GridSpec, rows: int):
+    """Yield ``(panel, block)``: ``block`` holds the rows ``panel`` (a
+    slice) of ``sum diag(c_alpha) D^alpha``, ``rows`` rows at a time.
 
     Each ``diag(c_alpha) D^alpha`` is formed by scaling the rows of the
     spec's cached power ``D^alpha`` by the samples of ``c_alpha`` into one
-    scratch matrix, reused across terms (the order-0 term is added to the
-    diagonal): O(n^2) per term instead of a dense O(n^3) product.
+    scratch block, reused across terms (the order-0 term is added to the
+    diagonal): O(n^2) per term instead of a dense O(n^3) product.  Every
+    coefficient is sampled before the first block is formed, and ``block``
+    is one buffer, overwritten for each panel.  ``rows`` divides ``n``.
     """
     if op.dim != 1:
         raise DimensionMismatch("the grid oracle is one-dimensional")
     n = spec.n_points
-    out = np.zeros((n, n), dtype=complex)
-    scratch = np.empty_like(out)
-    with np.errstate(all="ignore"):
-        for (order,), coeff in op.terms.items():
-            values = sample(coeff, spec)
-            if order:
-                np.multiply(values[:, None], spec.derivative_power(order), out=scratch)
-                out += scratch
-            else:
-                out[np.diag_indices(n)] += values
-    return GridOp(_finite(out, f"the matrix entries of {op}"), spec)
+    terms = [(order, sample(coeff, spec)) for (order,), coeff in op.terms.items()]
+    block = np.empty((rows, n), dtype=complex)
+    scratch = np.empty_like(block)
+    diagonal = np.arange(rows)
+    for start in range(0, n, rows):
+        panel = slice(start, start + rows)
+        block.fill(0)
+        with np.errstate(all="ignore"):
+            for order, values in terms:
+                if order:
+                    power = spec.derivative_power(order)[panel]
+                    np.multiply(values[panel, None], power, out=scratch)
+                    block += scratch
+                else:
+                    block[diagonal, diagonal + start] += values[panel]
+        yield panel, block
+
+
+def discretize(op: DiffOp, spec: GridSpec) -> GridOp:
+    """Realize ``sum_alpha c_alpha d^alpha`` as ``sum diag(c_alpha) D^alpha``:
+    ``_row_panels`` with one panel of all ``n`` rows."""
+    [(_, matrix)] = _row_panels(op, spec, spec.n_points)
+    return GridOp(_finite(matrix, f"the matrix entries of {op}"), spec)
 
 
 def _s_difference(s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -322,24 +348,83 @@ class ComparisonReport:
         )
 
 
+def _resolved_band(n: int) -> np.ndarray:
+    """The mask of the resolved Fourier modes, |k| <= n/4, in FFT order."""
+    return np.abs(_wavenumbers(n)) <= n // 4
+
+
 def _band_limited_norm(x: np.ndarray) -> float:
     """``||x P||_2`` for the projector ``P`` onto the resolved Fourier modes
     |k| <= n/4.
 
     ``P = Q^H M Q`` with ``Q`` the unitary DFT and ``M`` the 0/1 mode mask,
     so ``||x P||_2 = ||x Q^H M||_2``; the columns of ``x Q^H`` are
-    ``sqrt(n) * ifft(x, axis=1)``, and only the masked ones are kept.  The
-    2-norm of that n x (n/2 + 1) matrix is the square root of the largest
-    eigenvalue of its Gram matrix, not an SVD; it is clamped at 0, so an
-    exactly zero matrix gives exactly 0.0, and it is ``inf`` when the Gram
-    matrix overflows.
+    ``sqrt(n) * ifft(x, axis=1)``, and only the masked ones are kept,
+    written panel by panel into one n x (n/2 + 1) buffer.  The 2-norm of
+    that matrix is the square root of the largest eigenvalue of its Gram
+    matrix, not an SVD; it is clamped at 0, so an exactly zero matrix gives
+    exactly 0.0, and it is ``inf`` when the Gram matrix overflows.
     """
     n = x.shape[1]
-    columns = np.fft.ifft(x, axis=1)[:, np.abs(_wavenumbers(n)) <= n // 4]
+    band = _resolved_band(n)
+    columns = np.empty((len(x), n // 2 + 1), dtype=complex)
+    for start in range(0, len(x), PANEL_ROWS):
+        panel = slice(start, start + PANEL_ROWS)
+        columns[panel] = np.fft.ifft(x[panel], axis=1)[:, band]
     gram = columns.conj().T @ columns
     if not np.isfinite(gram).all():
         return math.inf
     return math.sqrt(n) * math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
+
+
+def _mode_power(rows: np.ndarray) -> np.ndarray:
+    """``sum_i |ifft(rows, axis=1)[i, k]|^2`` for every mode ``k``, in FFT
+    order."""
+    return (np.abs(np.fft.ifft(rows, axis=1)) ** 2).sum(axis=0)
+
+
+def _certified_pass(symbolic, numeric, psi_vec, tolerance):
+    """``compare``'s report from upper bounds of its residuals, or ``None``
+    when those bounds do not certify a pass.
+
+    ``symbolic`` is discretized ``PANEL_ROWS`` rows at a time and never held
+    whole.  With ``C`` the resolved columns of ``ifft(X, axis=1)``, ``||X
+    P||_2 = sqrt(n) ||C||_2`` lies between ``sqrt(n)`` times the largest
+    column norm of ``C`` and ``sqrt(n) ||C||_F`` (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., ch. 6).  So the largest
+    column norm bounds the scale from below, the Frobenius norm of the
+    defect's band bounds the spectral residual from above, and the action
+    residual, the exact numerator over a scale no larger than the exact
+    one, is an upper bound too.  A pass is certified only when the two
+    scales and the two residuals are all finite and both residuals are at
+    most ``tolerance``; an input that overflows takes the exact path, which
+    refuses it.
+    """
+    spec = numeric.spec
+    n = spec.n_points
+    sym_action = np.empty(n, dtype=complex)
+    sym_power = np.zeros(n)
+    defect_power = np.zeros(n)
+    for panel, block in _row_panels(symbolic, spec, PANEL_ROWS):
+        np.matmul(block, psi_vec, out=sym_action[panel])
+        sym_power += _mode_power(block)
+        block -= numeric.matrix[panel]
+        defect_power += _mode_power(block)
+    band = _resolved_band(n)
+    column_power = sym_power[band]
+    op_scale = max(math.sqrt(n * float(column_power.max())), 1.0)
+    if not math.isfinite(op_scale):  # else a zero action would divide by 0.0
+        return None
+    spectral = math.sqrt(n * float(defect_power[band].sum())) / op_scale
+    action_scale = max(
+        float(np.linalg.norm(sym_action)),
+        op_scale * float(np.linalg.norm(psi_vec)),
+    )
+    l2 = float(np.linalg.norm(sym_action - numeric.matrix @ psi_vec)) / action_scale
+    bounds = (action_scale, spectral, l2)
+    if all(map(math.isfinite, bounds)) and spectral <= tolerance and l2 <= tolerance:
+        return ComparisonReport(l2, spectral, tolerance)
+    return None
 
 
 def compare(
@@ -360,11 +445,22 @@ def compare(
     every grid point raises ``ValueError``, and one that is not
     2*pi-periodic raises ``NonPeriodicCoefficient``.  Residuals or scales
     that are not finite raise ``ValueError`` naming ``symbolic``.
+
+    A pass is first certified without an eigensolver (``_certified_pass``),
+    and its residuals are then upper bounds of the exact ones, each at most
+    ``tolerance``.  Otherwise the exact residuals are computed: the
+    band-limited 2-norms of ``discretize(symbolic)`` and of its difference
+    from ``numeric``.  So a FAIL reports exact residuals, and the verdict
+    is the exact one either way (up to rounding in the bounds).
     """
     spec = numeric.spec
     if spec.scheme != "spectral":
         raise ValueError(f"compare requires the spectral scheme, got {spec.scheme!r}")
     psi_vec = state(psi, spec)
+    with np.errstate(all="ignore"):
+        report = _certified_pass(symbolic, numeric, psi_vec, tolerance)
+    if report is not None:
+        return report
     sym_mat = discretize(symbolic, spec).matrix
     with np.errstate(all="ignore"):
         sym_action = sym_mat @ psi_vec
@@ -415,10 +511,11 @@ def _stage_rate(h_mat, plus_s, scale, covariant):
     ``R = H`` or (covariant) ``plus_s * H``, built as ``plus_s * F`` is, so
     that the covariant rate at ``F = H`` is exactly zero."""
     r_mat = plus_s * h_mat if covariant else h_mat
+    scaled = np.empty_like(h_mat)  # plus_s * F, written afresh at each call
 
     def rate(f):
         out = f @ r_mat
-        out -= h_mat @ (plus_s * f)
+        out -= h_mat @ np.multiply(plus_s, f, out=scaled)
         out *= scale
         return out
 
@@ -447,10 +544,11 @@ def evolve(
     (through ``state``) are sampled before ``hamiltonian`` and ``f0`` are
     discretized, so a refused ``s`` or ``psi`` costs no matrix.  Each RK4
     stage takes two dense products (``_stage_rate``) and a sample takes
-    none; the update runs in place, with the rounding of ``f + (dt/6) (k1
-    + 2 k2 + 2 k3 + k4)``.  Only the final operator is returned.  An
-    ``hbar`` whose ``1/hbar`` is 0 or not finite as a double raises
-    ``ValueError``, and non-finite values in ``F`` raise
+    none; each stage's rate is added into one accumulator once the next
+    stage's input is formed, with the rounding of ``f + (dt/6) (k1 + 2 k2
+    + 2 k3 + k4)``, and stage inputs reuse one buffer.  Only the final
+    operator is returned.  An ``hbar`` whose ``1/hbar`` is 0 or not finite
+    as a double raises ``ValueError``, and non-finite values in ``F`` raise
     ``EvolutionDiverged``, also a ``ValueError``.
     """
     if law not in LAWS:
@@ -484,21 +582,32 @@ def evolve(
         expectations.append(complex(np.vdot(psi_vec, f @ psi_vec)) / psi_norm2)
         growth.append(float(np.linalg.norm(f)) / norm0 if norm0 else 0.0)
 
+    def stage_input(weight, k):
+        """``f_mat + weight * k``, written into the one stage buffer."""
+        np.multiply(weight, k, out=stage)
+        return np.add(f_mat, stage, out=stage)
+
+    stage = np.empty_like(f_mat)
     record(0, f_mat)
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, steps + 1):
+            # Each stage is folded into the accumulator ``total`` as soon as
+            # the next stage's input is formed: (2 k2 + k1) + 2 k3 + k4.
             k1 = rate(f_mat)
-            k2 = rate(f_mat + 0.5 * dt * k1)
-            k3 = rate(f_mat + 0.5 * dt * k2)
-            k4 = rate(f_mat + dt * k3)
-            k2 *= 2.0
-            k2 += k1
+            total = rate(stage_input(0.5 * dt, k1))
+            stage_input(0.5 * dt, total)
+            total *= 2.0
+            total += k1
+            del k1
+            k3 = rate(stage)
+            stage_input(dt, k3)
             k3 *= 2.0
-            k2 += k3
-            k2 += k4
-            k2 *= dt / 6.0
-            k2 += f_mat
-            f_mat = k2
+            total += k3
+            del k3
+            total += rate(stage)
+            total *= dt / 6.0
+            total += f_mat
+            f_mat = total
             if not np.all(np.isfinite(f_mat)):
                 raise EvolutionDiverged(
                     f"non-finite values at step {step} (t = {step * dt:.6g}); "
