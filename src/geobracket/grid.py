@@ -28,21 +28,23 @@ is refused before any dense work.  Finite samples can still overflow in
 the dense work: ``discretize``, ``matrix_bracket`` and ``compare`` compute
 under ``np.errstate`` and refuse, with ``ValueError`` naming the operator,
 a matrix, a bracket or a residual that is not finite, so no numpy warning
-escapes them either.
+escapes them either.  An operand is rendered in DSL form only for such a
+refusal, never for a finite result.
 
 Size budget: a grid has at most ``MAX_POINTS`` (2048) points, since every
 operator is a dense n x n complex matrix (64 MiB at the cap); larger sizes
 are rejected with ``ValueError`` before anything is allocated.  At most
 four such matrices are alive at once: ``matrix_bracket`` holds ``a``,
-``b``, one scaled operand and the result.  ``compare`` certifies a pass
-from row panels of the symbolic operator, beside the numeric matrix, and
-only a comparison the panels cannot pass holds the symbolic matrix and an
-n x (n/2 + 1) band of one of the two (with its conjugate and Gram matrix).
+``b``, one scaled operand and the result.  ``compare`` never holds the
+symbolic matrix: it streams it in row panels beside the numeric matrix,
+and only a comparison the panels' bounds cannot pass streams it again
+into the n x (n/2 + 1) resolved bands of the symbolic operator and of its
+defect (with one band's conjugate and Gram matrix at a time).
 
 Residuals: on a pass ``compare`` reports certified upper bounds of its
 residuals, from the norm inequalities ``max_j ||X e_j|| <= ||X||_2 <=
-||X||_F``; on a FAIL it reports the exact band-limited 2-norms, and the
-verdict is the exact norms' either way.
+||X||_F``; otherwise, and so on every FAIL, it reports the exact
+band-limited 2-norms, and the verdict is the exact norms' either way.
 
 Every ``D^k`` is built by ``derivative_matrix(spec, k)`` and cached per
 spec; a spectral power is a read-only circulant view of 2n values, not a
@@ -172,10 +174,12 @@ def derivative_matrix(spec: GridSpec, order: int = 1) -> np.ndarray:
     return power
 
 
-def _finite(values: np.ndarray, what: str) -> np.ndarray:
-    """``values``; ``ValueError`` naming ``what`` if any is not finite."""
+def _finite(values: np.ndarray, what: str, *operands) -> np.ndarray:
+    """``values``; ``ValueError`` naming ``what.format(*operands)`` if any is
+    not finite.  The operands are rendered only then, so a finite result
+    costs no printing."""
     if not np.isfinite(values).all():
-        raise ValueError(f"{what} are not finite in double precision")
+        raise ValueError(f"{what.format(*operands)} are not finite in double precision")
     return values
 
 
@@ -213,7 +217,7 @@ def sample(f: CoefFn, spec: GridSpec) -> np.ndarray:
                 values += term
     except OverflowError:  # a coefficient or frequency beyond double range
         values[:] = np.nan
-    return _finite(values, f"the samples of {f}")
+    return _finite(values, "the samples of {}", f)
 
 
 def state(psi: CoefFn, spec: GridSpec) -> np.ndarray:
@@ -274,7 +278,7 @@ def discretize(op: DiffOp, spec: GridSpec) -> GridOp:
     """Realize ``sum_alpha c_alpha d^alpha`` as ``sum diag(c_alpha) D^alpha``:
     ``_row_panels`` with one panel of all ``n`` rows."""
     [(_, matrix)] = _row_panels(op, spec, spec.n_points)
-    return GridOp(_finite(matrix, f"the matrix entries of {op}"), spec)
+    return GridOp(_finite(matrix, "the matrix entries of {}", op), spec)
 
 
 def _s_difference(s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -329,7 +333,7 @@ def matrix_bracket(
             scratch = np.empty_like(a_mat)
             out = a_mat @ _factor_times(s_vec, plus_one, b_mat, scratch)
             out -= np.matmul(b_mat, _factor_times(s_vec, plus_one, a_mat, scratch), out=a_mat)
-    return GridOp(_finite(out, f"the matrix entries of the {kind} of {a} and {b}"), spec)
+    return GridOp(_finite(out, "the matrix entries of the {} of {} and {}", kind, a, b), spec)
 
 
 @dataclass(frozen=True)
@@ -353,78 +357,58 @@ def _resolved_band(n: int) -> np.ndarray:
     return np.abs(_wavenumbers(n)) <= n // 4
 
 
-def _band_limited_norm(x: np.ndarray) -> float:
-    """``||x P||_2`` for the projector ``P`` onto the resolved Fourier modes
-    |k| <= n/4.
+def _norm2(columns: np.ndarray) -> float:
+    """``||X P||_2`` for the projector ``P`` onto the resolved Fourier modes
+    |k| <= n/4, from ``columns``, the resolved columns of ``ifft(X,
+    axis=1)`` for an n x n ``X``.
 
     ``P = Q^H M Q`` with ``Q`` the unitary DFT and ``M`` the 0/1 mode mask,
-    so ``||x P||_2 = ||x Q^H M||_2``; the columns of ``x Q^H`` are
-    ``sqrt(n) * ifft(x, axis=1)``, and only the masked ones are kept,
-    written panel by panel into one n x (n/2 + 1) buffer.  The 2-norm of
-    that matrix is the square root of the largest eigenvalue of its Gram
-    matrix, not an SVD; it is clamped at 0, so an exactly zero matrix gives
-    exactly 0.0, and it is ``inf`` when the Gram matrix overflows.
+    so ``||X P||_2 = ||X Q^H M||_2``, and the columns of ``X Q^H`` are
+    ``sqrt(n) * ifft(X, axis=1)``.  The 2-norm of ``columns`` is the square
+    root of the largest eigenvalue of its Gram matrix, not an SVD; it is
+    clamped at 0, so an exactly zero matrix gives exactly 0.0, and it is
+    ``inf`` when the Gram matrix overflows.
     """
-    n = x.shape[1]
-    band = _resolved_band(n)
-    columns = np.empty((len(x), n // 2 + 1), dtype=complex)
-    for start in range(0, len(x), PANEL_ROWS):
-        panel = slice(start, start + PANEL_ROWS)
-        columns[panel] = np.fft.ifft(x[panel], axis=1)[:, band]
     gram = columns.conj().T @ columns
     if not np.isfinite(gram).all():
         return math.inf
-    return math.sqrt(n) * math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
+    return math.sqrt(len(columns)) * math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
 
 
-def _mode_power(rows: np.ndarray) -> np.ndarray:
-    """``sum_i |ifft(rows, axis=1)[i, k]|^2`` for every mode ``k``, in FFT
-    order."""
-    return (np.abs(np.fft.ifft(rows, axis=1)) ** 2).sum(axis=0)
+def _panel_modes(symbolic, numeric, psi_vec, action):
+    """Stream ``symbolic`` against ``numeric`` ``PANEL_ROWS`` rows at a time.
 
-
-def _certified_pass(symbolic, numeric, psi_vec, tolerance):
-    """``compare``'s report from upper bounds of its residuals, or ``None``
-    when those bounds do not certify a pass.
-
-    ``symbolic`` is discretized ``PANEL_ROWS`` rows at a time and never held
-    whole.  With ``C`` the resolved columns of ``ifft(X, axis=1)``, ``||X
-    P||_2 = sqrt(n) ||C||_2`` lies between ``sqrt(n)`` times the largest
-    column norm of ``C`` and ``sqrt(n) ||C||_F`` (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, 2nd ed., ch. 6).  So the largest
-    column norm bounds the scale from below, the Frobenius norm of the
-    defect's band bounds the spectral residual from above, and the action
-    residual, the exact numerator over a scale no larger than the exact
-    one, is an upper bound too.  A pass is certified only when the two
-    scales and the two residuals are all finite and both residuals are at
-    most ``tolerance``; an input that overflows takes the exact path, which
-    refuses it.
+    For each panel of the symbolic matrix, write its rows' action on
+    ``psi_vec`` into ``action``, then yield ``(panel, which, modes)``:
+    ``ifft(rows, axis=1)`` of the symbolic rows (``which`` 0), then of the
+    symbolic rows minus the numeric ones (``which`` 1).  A symbolic entry
+    that is not finite makes its row's action not finite (``inf * 0`` is
+    ``nan``), and that panel then raises ``ValueError`` naming
+    ``symbolic``, as ``discretize`` would.
     """
-    spec = numeric.spec
-    n = spec.n_points
-    sym_action = np.empty(n, dtype=complex)
-    sym_power = np.zeros(n)
-    defect_power = np.zeros(n)
-    for panel, block in _row_panels(symbolic, spec, PANEL_ROWS):
-        np.matmul(block, psi_vec, out=sym_action[panel])
-        sym_power += _mode_power(block)
+    for panel, block in _row_panels(symbolic, numeric.spec, PANEL_ROWS):
+        np.matmul(block, psi_vec, out=action[panel])
+        if not np.isfinite(action[panel]).all():
+            _finite(block, "the matrix entries of {}", symbolic)
+        yield panel, 0, np.fft.ifft(block, axis=1)
         block -= numeric.matrix[panel]
-        defect_power += _mode_power(block)
-    band = _resolved_band(n)
-    column_power = sym_power[band]
-    op_scale = max(math.sqrt(n * float(column_power.max())), 1.0)
-    if not math.isfinite(op_scale):  # else a zero action would divide by 0.0
-        return None
-    spectral = math.sqrt(n * float(defect_power[band].sum())) / op_scale
+        yield panel, 1, np.fft.ifft(block, axis=1)
+
+
+def _residuals(op_norm, defect_norm, sym_action, num_action, psi_vec):
+    """``(l2, spectral, op_scale, action_scale)`` from the band-limited
+    2-norm ``op_norm`` of the symbolic operator, or a lower bound of it, and
+    ``defect_norm`` of its difference from the numeric one, or an upper
+    bound of it."""
+    op_scale = max(op_norm, 1.0)
+    # Scale the action defect by the larger of the action itself and the
+    # operator scale applied to psi, so tiny-norm totals do not inflate it.
     action_scale = max(
         float(np.linalg.norm(sym_action)),
         op_scale * float(np.linalg.norm(psi_vec)),
     )
-    l2 = float(np.linalg.norm(sym_action - numeric.matrix @ psi_vec)) / action_scale
-    bounds = (action_scale, spectral, l2)
-    if all(map(math.isfinite, bounds)) and spectral <= tolerance and l2 <= tolerance:
-        return ComparisonReport(l2, spectral, tolerance)
-    return None
+    l2 = float(np.linalg.norm(sym_action - num_action)) / action_scale
+    return l2, defect_norm / op_scale, op_scale, action_scale
 
 
 def compare(
@@ -443,43 +427,53 @@ def compare(
     where agreement is exact to rounding.  ``psi`` enters through
     ``state``, before ``symbolic`` is discretized: one that vanishes on
     every grid point raises ``ValueError``, and one that is not
-    2*pi-periodic raises ``NonPeriodicCoefficient``.  Residuals or scales
-    that are not finite raise ``ValueError`` naming ``symbolic``.
+    2*pi-periodic raises ``NonPeriodicCoefficient``.  A symbolic matrix,
+    residuals or scales that are not finite raise ``ValueError`` naming
+    ``symbolic``.
 
-    A pass is first certified without an eigensolver (``_certified_pass``),
-    and its residuals are then upper bounds of the exact ones, each at most
-    ``tolerance``.  Otherwise the exact residuals are computed: the
-    band-limited 2-norms of ``discretize(symbolic)`` and of its difference
-    from ``numeric``.  So a FAIL reports exact residuals, and the verdict
-    is the exact one either way (up to rounding in the bounds).
+    ``symbolic`` is streamed in row panels (``_panel_modes``) and never
+    held whole.  With ``C`` the resolved columns of ``ifft(X, axis=1)``,
+    ``||X P||_2 = sqrt(n) ||C||_2`` lies between ``sqrt(n)`` times the
+    largest column norm of ``C`` and ``sqrt(n) ||C||_F`` (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2nd ed., ch. 6).  The first
+    stream sums each mode's power over all rows, so the largest column norm
+    bounds the scale from below, the Frobenius norm of the defect's band
+    bounds the spectral residual from above, and the action residual, the
+    exact numerator over a scale no larger than the exact one, is an upper
+    bound too.  When the two scales and the two residuals are all finite
+    and both residuals are at most ``tolerance``, these bounds are reported
+    as a certified pass, without an eigensolver.  Otherwise a second stream
+    copies both bands into n x (n/2 + 1) buffers and the exact 2-norms
+    (``_norm2``) give the residuals.  So a FAIL reports exact residuals,
+    and the verdict is the exact one either way (up to rounding in the
+    bounds).
     """
     spec = numeric.spec
     if spec.scheme != "spectral":
         raise ValueError(f"compare requires the spectral scheme, got {spec.scheme!r}")
     psi_vec = state(psi, spec)
+    n = spec.n_points
+    band = _resolved_band(n)
+    sym_action = np.empty(n, dtype=complex)
     with np.errstate(all="ignore"):
-        report = _certified_pass(symbolic, numeric, psi_vec, tolerance)
-    if report is not None:
-        return report
-    sym_mat = discretize(symbolic, spec).matrix
-    with np.errstate(all="ignore"):
-        sym_action = sym_mat @ psi_vec
         num_action = numeric.matrix @ psi_vec
-
-        op_scale = max(_band_limited_norm(sym_mat), 1.0)
-        sym_mat -= numeric.matrix
-        spectral = _band_limited_norm(sym_mat) / op_scale
-
-        # Scale the action defect by the larger of the action itself and the
-        # operator scale applied to psi, so tiny-norm totals do not inflate it.
-        action_scale = max(
-            float(np.linalg.norm(sym_action)),
-            op_scale * float(np.linalg.norm(psi_vec)),
-        )
-        l2 = float(np.linalg.norm(sym_action - num_action)) / action_scale
-    residuals = np.array([op_scale, action_scale, spectral, l2])
-    _finite(residuals, f"the residuals of {symbolic}")
-    return ComparisonReport(l2, spectral, tolerance)
+        power = np.zeros((2, n))
+        for _, which, modes in _panel_modes(symbolic, numeric, psi_vec, sym_action):
+            power[which] += (np.abs(modes) ** 2).sum(axis=0)
+            del modes  # freed before the stream forms the next panel's modes
+        op_norm = math.sqrt(n * float(power[0, band].max()))
+        if math.isfinite(op_norm):  # else a zero action would divide by 0.0
+            bounds = _residuals(op_norm, math.sqrt(n * float(power[1, band].sum())),
+                                sym_action, num_action, psi_vec)
+            if all(map(math.isfinite, bounds)) and max(bounds[:2]) <= tolerance:
+                return ComparisonReport(*bounds[:2], tolerance)
+        columns = np.empty((2, n, n // 2 + 1), dtype=complex)
+        for panel, which, modes in _panel_modes(symbolic, numeric, psi_vec, sym_action):
+            columns[which, panel] = modes[:, band]
+        residuals = _residuals(_norm2(columns[0]), _norm2(columns[1]),
+                               sym_action, num_action, psi_vec)
+    _finite(np.array(residuals), "the residuals of {}", symbolic)
+    return ComparisonReport(*residuals[:2], tolerance)
 
 
 @dataclass(frozen=True)

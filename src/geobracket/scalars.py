@@ -33,8 +33,7 @@ class ComplexRational(tuple):
     """A complex number with exact rational real and imaginary parts.
 
     The value is the canonical triple ``(a, b, d)`` itself, so tuple
-    equality and hashing are structural.  Values are unordered: sort by
-    ``sort_key()``.  Arithmetic takes another ``ComplexRational`` or an
+    equality and hashing are structural.  Values are unordered.  Arithmetic takes another ``ComplexRational`` or an
     ``int``, which may stand on either side except the left of ``+``; a
     ``Fraction`` enters through the constructor, the one way to make a
     value: ``ComplexRational(re, im)`` takes rational parts, and
@@ -136,25 +135,13 @@ class ComplexRational(tuple):
 
     # -- predicates and views ---------------------------------------------
 
-    @property
-    def is_real(self) -> bool:
-        return not self[1]
-
     def __bool__(self) -> bool:
         return bool(self[0] or self[1])
 
     def _unordered(self, other):
-        raise TypeError("ComplexRational values are unordered; compare sort_key()")
+        raise TypeError("ComplexRational values are unordered; compare their re and im parts")
 
     __lt__ = __le__ = __gt__ = __ge__ = _unordered
-
-    def sort_key(self):
-        # ints compare with Fractions by value, so the integer pair orders
-        # exactly as the Fraction views would, without building them.
-        a, b, d = self
-        if d == 1:
-            return (a, b)
-        return (self.re, self.im)
 
     def to_complex(self) -> complex:
         return complex(self.re) + 1j * complex(self.im)

@@ -18,14 +18,15 @@ from geobracket.errors import (
     NonPeriodicCoefficient,
 )
 from geobracket.functions import cos_of, coord, exponential, monomial, one, zero
-from geobracket import cli
+from geobracket import cli, printing
 from geobracket import grid as grid_module
 from geobracket.grid import (
     LAWS,
     MAX_POINTS,
     ComparisonReport,
     GridSpec,
-    _band_limited_norm,
+    _norm2,
+    _resolved_band,
     compare,
     derivative_matrix,
     discretize,
@@ -268,6 +269,31 @@ def test_compare_requires_periodic_state():
     op = mult(cos_of(1))
     with pytest.raises(NonPeriodicCoefficient):
         compare(op, discretize(op, spec), coord(1, 0), 1e-8)
+
+
+def test_compare_names_a_symbolic_matrix_that_is_not_finite():
+    # 10^306 times the D^2 diagonal (about -341 at n = 64) overflows.
+    symbolic = partial_d(1, 0, 2).scaled(ComplexRational(10**306))
+    with pytest.raises(ValueError) as refusal:
+        compare(symbolic, discretize(zero_op(1), GridSpec(64)), E_IX)
+    assert str(refusal.value) == (
+        f"the matrix entries of {symbolic} are not finite in double precision"
+    )
+
+
+def test_a_finite_oracle_check_prints_no_operand(monkeypatch):
+    """Refusal messages name their operands, but only a refusal renders
+    them: a passing bracket and comparison never call the printer."""
+    def no_printing(*args, **kwargs):
+        pytest.fail("a finite result rendered an operand")
+
+    spec = GridSpec(64)
+    s, a, b = cos_of(1), mult(E_IX).scaled(-I) * partial_d(1), mult(E_IX)
+    symbolic = qcpb(s, a, b).total
+    monkeypatch.setattr(printing, "format_coef_fn", no_printing)
+    monkeypatch.setattr(printing, "format_diff_op", no_printing)
+    numeric = matrix_bracket(s, a, b, spec, "qcpb")
+    assert compare(symbolic, numeric, E_IX).passed
 
 
 def draw_nondegenerate_bracket(rng):
@@ -618,7 +644,8 @@ def test_band_limited_norm_matches_projector(n):
     rng = np.random.default_rng(n)
     x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     expected = np.linalg.norm(x @ _old_band_projector(n, n // 4), 2)
-    assert np.isclose(_band_limited_norm(x), expected, rtol=1e-13, atol=0)
+    columns = np.fft.ifft(x, axis=1)[:, _resolved_band(n)]
+    assert np.isclose(_norm2(columns), expected, rtol=1e-13, atol=0)
 
 
 def _count_builds(monkeypatch):
@@ -757,7 +784,7 @@ def _old_matrix_bracket(s, a, b, spec, kind):
 
 
 def _old_band_limited_norm(x):
-    """``_band_limited_norm`` through the full n x n ``ifft``."""
+    """The band-limited 2-norm through the full n x n ``ifft``."""
     n = x.shape[1]
     columns = np.fft.ifft(x, axis=1)[:, np.abs(grid_module._wavenumbers(n)) <= n // 4]
     gram = columns.conj().T @ columns
@@ -880,13 +907,29 @@ def test_a_certified_pass_holds_one_and_a_half_dense_buffers_with_its_input():
 
 
 def test_an_exact_comparison_holds_the_resolved_band_only():
-    """A FAIL takes the exact norms: the numeric and symbolic matrices, the
-    n x (n/2 + 1) band of one of them, its conjugate and their Gram matrix
-    (3.25 buffers and the band's (n/2 + 1)-th column); the full n x n
-    ``ifft`` is never held (3.5 before)."""
+    """A FAIL takes the exact norms: the numeric matrix, the n x (n/2 + 1)
+    bands of the symbolic matrix and of its defect, one band's conjugate
+    and its Gram matrix (2.75 buffers and the bands' (n/2 + 1)-th
+    columns).  The symbolic matrix is never held whole, nor a full n x n
+    ``ifft`` (3.29 buffers when the symbolic matrix was held)."""
     report, buffers = _budget_comparison(1e-18)
     assert not report.passed
-    assert buffers <= 3.3, buffers
+    assert buffers <= 3.0, buffers
+
+
+def test_compare_never_discretizes_the_symbolic_operator(monkeypatch):
+    """Both a certified pass and a FAIL stream the symbolic operator in row
+    panels instead of building its matrix."""
+    def no_discretize(*args, **kwargs):
+        pytest.fail("compare built the whole symbolic matrix")
+
+    spec = GridSpec(128)
+    s, a, b = _budget_operands()
+    numeric = matrix_bracket(s, a, b, spec, "qcpb")
+    monkeypatch.setattr(grid_module, "discretize", no_discretize)
+    symbolic = qcpb(s, a, b).total
+    assert compare(symbolic, numeric, E_IX, 1e-8).passed
+    assert not compare(symbolic, numeric, E_IX, 1e-18).passed
 
 
 def test_a_passing_compare_calls_no_eigensolver(monkeypatch):
@@ -964,7 +1007,7 @@ def test_warm_spectral_spec_holds_linear_memory_per_order():
 
 
 def test_band_limited_norm_of_zero_is_exactly_zero():
-    assert _band_limited_norm(np.zeros((64, 64), dtype=complex)) == 0.0
+    assert _norm2(np.zeros((64, 33), dtype=complex)) == 0.0
 
 
 def _reference_evolve(

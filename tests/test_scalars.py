@@ -246,9 +246,7 @@ def test_views_match_fraction_pairs(x):
     assert _agrees(z, x)
     assert repr(z) == f"ComplexRational({x[0]!r}, {x[1]!r})"
     assert str(z) == _ref_str(x)
-    assert z.sort_key() == x
     assert (not z) == (x == (0, 0))
-    assert z.is_real == (x[1] == 0)
     value, reference = z.to_complex(), complex(x[0]) + 1j * complex(x[1])
     assert value.real.hex() == reference.real.hex()
     assert value.imag.hex() == reference.imag.hex()
@@ -269,7 +267,6 @@ def test_values_are_unordered():
             compare(z, w)
     with pytest.raises(TypeError):
         sorted([z, w])
-    assert sorted([z, w], key=ComplexRational.sort_key) == [w, z]
 
 
 _SAMPLE = ComplexRational(Fraction(-1, 2), Fraction(3, 4))
@@ -297,11 +294,3 @@ def test_copy_and_pickle_round_trip(value, round_trip):
     again = round_trip(value)
     assert type(again) is type(value)
     assert again == value and str(again) == str(value)
-
-
-@given(st.lists(pairs, max_size=12))
-def test_sort_key_orders_as_fraction_pairs(xs):
-    # integer-valued scalars take the int-pair key, the rest the Fraction pair
-    zs = [ComplexRational(*x) for x in xs]
-    by_key = sorted(zs, key=ComplexRational.sort_key)
-    assert by_key == sorted(zs, key=lambda z: (z.re, z.im))
