@@ -2,9 +2,11 @@
 
 This is the package's independent numerical check: operators become N x N
 complex matrices on the uniform grid over [0, 2*pi), brackets are recomputed
-with matrix products, and flows are integrated with classic fourth-order
-Runge-Kutta.  Everything here is double precision on purpose, so agreement
-with the exact engine is evidence rather than tautology.
+with dense matrix products, and flows are integrated with classic
+fourth-order Runge-Kutta, which applies a banded generator (a ``central2``
+Hamiltonian) by its diagonals and any other by dense products.  Everything
+here is double precision on purpose, so agreement with the exact engine is
+evidence rather than tautology.
 
 Input gate: every coefficient, structure function ``s`` and state ``psi``
 enters the oracle through ``sample``, and nowhere else.  Under ``spectral``
@@ -33,9 +35,12 @@ refusal, never for a finite result.
 
 Size budget: a grid has at most ``MAX_POINTS`` (2048) points, since every
 operator is a dense n x n complex matrix (64 MiB at the cap); larger sizes
-are rejected with ``ValueError`` before anything is allocated.  At most
-four such matrices are alive at once: ``matrix_bracket`` holds ``a``,
-``b``, one scaled operand and the result.  ``compare`` never holds the
+are rejected with ``ValueError`` before anything is allocated.  A bracket
+check holds at most four such matrices at once: ``matrix_bracket`` holds
+``a``, ``b``, one scaled operand and the result.  A flow holds about eight:
+``plus_s``, two buffers of its stage rate (with a dense generator, ``H``
+and ``R`` besides), ``F``, the stage input, the accumulator and two stage
+rates.  ``compare`` never holds the
 symbolic matrix: it streams it in row panels beside the numeric matrix,
 and only a comparison the panels' bounds cannot pass streams it again
 into the n x (n/2 + 1) resolved bands of the symbolic operator and of its
@@ -499,18 +504,80 @@ class EvolutionResult:
             yield f"{t:.17g},{expect.real:.17g},{expect.imag:.17g},{growth:.17g}"
 
 
+def _wrapped_diagonal(matrix, offset):
+    """``v[j] = matrix[(j + offset) % n, j]``, a fresh vector."""
+    n = len(matrix)
+    return np.concatenate((np.diagonal(matrix, -offset), np.diagonal(matrix, n - offset)))
+
+
+def _banded(matrix, limit):
+    """``{o: v_o}`` for the nonzero wrapped diagonals ``v_o`` of ``matrix``
+    (``_wrapped_diagonal``), in increasing ``o``, or ``None`` as soon as
+    more than ``limit`` are found."""
+    diagonals = {}
+    for offset in range(len(matrix)):
+        values = _wrapped_diagonal(matrix, offset)
+        if values.any():
+            if len(diagonals) == limit:
+                return None
+            diagonals[offset] = values
+    return diagonals
+
+
 def _stage_rate(h_mat, plus_s, scale, covariant):
-    """``F -> scale * ([F, H] - H [s, F] (+ F [s, H]))`` in two dense products,
-    as ``scale * (F R - H (plus_s * F))`` with ``plus_s * X = X + [s, X]`` and
-    ``R = H`` or (covariant) ``plus_s * H``, built as ``plus_s * F`` is, so
-    that the covariant rate at ``F = H`` is exactly zero."""
-    r_mat = plus_s * h_mat if covariant else h_mat
+    """``F -> scale * ([F, H] - H [s, F] (+ F [s, H]))``, computed as ``scale *
+    (F R - H (plus_s * F))`` with ``plus_s * X = X + [s, X]`` and ``R = H`` or
+    (covariant) ``plus_s * H``.
+
+    The cut is a cost rule.  When ``H`` has at most ``n // 16`` nonzero
+    wrapped diagonals (``_banded``; ``R``, whose zeros include ``H``'s, has
+    no more), both products are taken from the diagonals alone, in O(d n^2)
+    for d diagonals: ``(F R)[:, j] = sum_o F[:, (j + o) % n] r_o[j]`` and
+    ``(H Y)[i] = sum_o h_o[(i - o) % n] Y[(i - o) % n]``, with ``scale``
+    folded into ``r_o`` and ``-scale`` into ``h_o``.  Each offset takes two
+    slice products (the second is the wrap): the first offset of ``F R``
+    writes them into the result, and every other offset into one reused
+    buffer that is added to it.  The rate then holds neither ``H`` nor ``R`` densely.  A
+    ``central2`` ``D^k`` has k + 1 such diagonals (offsets -k, -k + 2, ...,
+    k), so a second-order Hamiltonian takes this path from n = 64 on.
+    Otherwise, as for a spectral or a smaller ``H``, dense products are
+    cheaper, and the rate takes two, with ``R`` built as ``plus_s * F`` is,
+    so that the covariant rate at ``F = H`` is exactly zero.
+    """
+    n = len(h_mat)
     scaled = np.empty_like(h_mat)  # plus_s * F, written afresh at each call
+    h_diagonals = _banded(h_mat, n // 16)
+    if h_diagonals is None:
+        r_mat = plus_s * h_mat if covariant else h_mat
+
+        def rate(f):
+            out = f @ r_mat
+            out -= h_mat @ np.multiply(plus_s, f, out=scaled)
+            out *= scale
+            return out
+
+        return rate
+
+    r_diagonals = h_diagonals
+    if covariant:
+        r_diagonals = {o: _wrapped_diagonal(plus_s, o) * h for o, h in h_diagonals.items()}
+    r_terms = [(o, scale * r) for o, r in r_diagonals.items()]
+    h_terms = [(o, -scale * h) for o, h in h_diagonals.items()]
+    product = np.empty_like(h_mat)
 
     def rate(f):
-        out = f @ r_mat
-        out -= h_mat @ np.multiply(plus_s, f, out=scaled)
-        out *= scale
+        out = np.empty_like(f) if r_terms else np.zeros_like(f)
+        for index, (o, r) in enumerate(r_terms):
+            target = product if index else out
+            np.multiply(f[:, o:], r[: n - o], out=target[:, : n - o])
+            np.multiply(f[:, :o], r[n - o :], out=target[:, n - o :])
+            if index:
+                out += product
+        y = np.multiply(plus_s, f, out=scaled)
+        for o, h in h_terms:
+            np.multiply(h[: n - o, None], y[: n - o], out=product[o:])
+            np.multiply(h[n - o :, None], y[n - o :], out=product[:o])
+            out += product
         return out
 
     return rate
@@ -537,13 +604,17 @@ def evolve(
     ||F(0)||_F``, which is 0.0 when ``F(0)`` is zero.  ``s`` and ``psi``
     (through ``state``) are sampled before ``hamiltonian`` and ``f0`` are
     discretized, so a refused ``s`` or ``psi`` costs no matrix.  Each RK4
-    stage takes two dense products (``_stage_rate``) and a sample takes
-    none; each stage's rate is added into one accumulator once the next
-    stage's input is formed, with the rounding of ``f + (dt/6) (k1 + 2 k2
-    + 2 k3 + k4)``, and stage inputs reuse one buffer.  Only the final
-    operator is returned.  An ``hbar`` whose ``1/hbar`` is 0 or not finite
-    as a double raises ``ValueError``, and non-finite values in ``F`` raise
-    ``EvolutionDiverged``, also a ``ValueError``.
+    stage takes one ``_stage_rate``: O(d n^2) work when ``H`` has d <= n //
+    16 nonzero wrapped diagonals, as a second-order ``central2`` Hamiltonian
+    has from n = 64 on, and otherwise two dense products.  A sample takes
+    no dense product.  Step 0 is recorded at time 0.0, also when
+    ``t_final`` is negative or -0.0.  Each stage's rate is added into one
+    accumulator once the next stage's input is formed, with the rounding of
+    ``f + (dt/6) (k1 + 2 k2 + 2 k3 + k4)``, and stage inputs reuse one
+    buffer.  Only the final operator is returned.  An ``hbar`` whose
+    ``1/hbar`` is 0 or not finite as a double raises ``ValueError``, and
+    non-finite values in ``F`` raise ``EvolutionDiverged``, also a
+    ``ValueError``.
     """
     if law not in LAWS:
         raise ValueError(f"law must be one of {LAWS}")
@@ -563,6 +634,7 @@ def evolve(
 
     plus_s = 1.0 + _s_difference(s_vec)
     rate = _stage_rate(h_mat, plus_s, scale, law == "covariant")
+    del h_mat  # a banded rate keeps only its diagonals
 
     dt = t_final / steps
     n_samples = min(101, steps + 1)
@@ -572,7 +644,7 @@ def evolve(
     times, expectations, growth = [], [], []
 
     def record(step_index, f):
-        times.append(step_index * dt)
+        times.append(step_index * dt + 0.0)  # step 0 at 0.0, not -0.0, when dt <= 0
         expectations.append(complex(np.vdot(psi_vec, f @ psi_vec)) / psi_norm2)
         growth.append(float(np.linalg.norm(f)) / norm0 if norm0 else 0.0)
 

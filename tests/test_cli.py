@@ -262,6 +262,13 @@ def test_oscillator_json(capsys):
     assert payload["w"] == "0"
     assert payload["plain_rate_x"] == "-i*d1"
     assert payload["csv"][0] == "t,re_expect,im_expect,growth"
+    # A flow backwards in time, or of length -0, starts at t = 0, not -0.
+    for t, times in (("-1", ["0", "-0.5", "-1"]), ("-0", ["0", "0", "0"])):
+        code, out, _ = run_cli(
+            capsys, "oscillator", "--json", "--s", "0", "--grid", "16", "--steps", "2", f"--t={t}"
+        )
+        assert code == 0
+        assert [row.split(",")[0] for row in json.loads(out)["csv"][1:]] == times
 
 
 def test_unwritable_csv_path_exits_2(tmp_path, capsys):

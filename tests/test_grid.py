@@ -381,9 +381,8 @@ class _ProductCountingMatrix(np.ndarray):
         return result.view(type(self)) if isinstance(result, np.ndarray) else result
 
 
-@pytest.mark.parametrize("law", ["generalized_heisenberg", "covariant"])
-def test_flow_takes_eight_products_per_step_and_none_per_sample(monkeypatch, law):
-    spec = GridSpec(32)
+def _counted_flow(monkeypatch, s, h_op, f0, **kwargs):
+    """``evolve`` with every discretized matrix counting its products."""
     plain_discretize = grid_module.discretize
 
     def counting_discretize(op, spec):
@@ -392,13 +391,33 @@ def test_flow_takes_eight_products_per_step_and_none_per_sample(monkeypatch, law
 
     monkeypatch.setattr(grid_module, "discretize", counting_discretize)
     monkeypatch.setattr(_ProductCountingMatrix, "products", 0)
-    result = evolve(
-        cos_of(1).scaled(Fraction(1, 8)), _kinetic_plus_cosine(), mult(cos_of(1)),
-        t_final=0.1, steps=200, spec=spec, law=law, psi=E_IX,
+    result = evolve(s, h_op, f0, **kwargs)
+    assert isinstance(result.final.matrix, _ProductCountingMatrix)
+    return result
+
+
+@pytest.mark.parametrize("law", ["generalized_heisenberg", "covariant"])
+def test_flow_takes_eight_products_per_step_and_none_per_sample(monkeypatch, law):
+    result = _counted_flow(
+        monkeypatch, cos_of(1).scaled(Fraction(1, 8)), _kinetic_plus_cosine(), mult(cos_of(1)),
+        t_final=0.1, steps=200, spec=GridSpec(32), law=law, psi=E_IX,
     )
     assert len(result.times) == 101
-    assert isinstance(result.final.matrix, _ProductCountingMatrix)
     assert _ProductCountingMatrix.products == 8 * 200
+
+
+@pytest.mark.parametrize("law", ["generalized_heisenberg", "covariant"])
+@pytest.mark.parametrize("n, per_step", [(32, 8), (128, 0)])
+def test_central2_flow_takes_dense_products_below_the_band_cut(monkeypatch, law, n, per_step):
+    """A ``central2`` second-order Hamiltonian has three nonzero wrapped
+    diagonals: more than ``n // 16`` = 2 at n = 32, so every stage takes two
+    dense products, and fewer than 8 at n = 128, so no stage takes one."""
+    s, h_op, f0 = _flow_scenario("central2")
+    _counted_flow(
+        monkeypatch, s, h_op, f0, t_final=0.1, steps=20, spec=GridSpec(n, "central2"),
+        law=law, psi=E_IX,
+    )
+    assert _ProductCountingMatrix.products == per_step * 20
 
 
 @pytest.mark.parametrize("law", LAWS)
@@ -1088,10 +1107,12 @@ def _flow_scenario(scheme):
 )
 def test_evolve_folds_each_stage_into_one_accumulator(law, budget):
     """A 2-step flow at n = 256 on a fresh ``central2`` spec, in dense n x n
-    matrices: ``plus_s``, ``H`` (and ``R``), the ``plus_s * F`` and stage
-    buffers, ``F``, the accumulator, one stage rate and its product.  It
-    peaked at 11.5 (plain) and 12.5 (covariant) matrices with all four
-    stages held; the budget is two below."""
+    matrices.  The rate is banded, so it holds ``plus_s``, the ``plus_s * F``
+    and product buffers and no dense ``H`` or ``R``; the loop holds ``F``,
+    the stage buffer, the accumulator, one stage rate and the rate being
+    formed.  Both laws peak near 7.9.  With dense stage rates all four stages
+    held peaked at 11.5 (plain) and 12.5 (covariant), and one accumulator at
+    8.5 and 9.5; the budget is one above that."""
     n = 256
     s, h_op, f0 = _flow_scenario("central2")
     _, peak = _traced_peak(lambda: evolve(
@@ -1120,11 +1141,24 @@ def test_evolve_is_bitwise_equal_to_reference_loop(law, scheme, steps):
     assert result.final.matrix.tobytes() == final.tobytes()
 
 
+def _sized(schemes_and_sizes, default):
+    """``scheme, n`` cases, with the ``default`` size named by the scheme alone."""
+    return [
+        pytest.param(scheme, n, id=scheme if n == default else f"{scheme}-{n}")
+        for scheme, n in schemes_and_sizes
+    ]
+
+
 @pytest.mark.parametrize("real_s", [True, False], ids=["real-s", "complex-s"])
 @pytest.mark.parametrize("law", ["generalized_heisenberg", "covariant"])
-@pytest.mark.parametrize("scheme", ["spectral", "central2"])
-def test_stage_rate_matches_term_by_term_rates(scheme, law, real_s):
-    spec = GridSpec(64, scheme)
+@pytest.mark.parametrize(
+    "scheme, n",
+    _sized([(scheme, n) for n in (64, 128, 256) for scheme in ("spectral", "central2")], 64),
+)
+def test_stage_rate_matches_term_by_term_rates(scheme, n, law, real_s):
+    """At n >= 64 a ``central2`` Hamiltonian's three diagonals take the
+    banded rate; a spectral one is dense and takes two dense products."""
+    spec = GridSpec(n, scheme)
     s, h_op, _ = _flow_scenario(scheme)
     if not real_s:
         s = s + E_IX.scaled(Fraction(1, 7))
@@ -1154,7 +1188,6 @@ def test_stage_rate_matches_term_by_term_rates(scheme, law, real_s):
     # hold at most six products, each of factors with norms at most ||F||
     # and (1 + d) ||H||, d = max |s_i - s_j|; the elementwise scalings and
     # sums add a few eps per entry, which n + 4 in place of n + 2 covers.
-    n = spec.n_points
     d = float(np.max(np.abs(s_diff)))
     eps = np.finfo(float).eps
     bound = (
@@ -1166,9 +1199,11 @@ def test_stage_rate_matches_term_by_term_rates(scheme, law, real_s):
 
 
 @pytest.mark.parametrize("law", ["generalized_heisenberg", "covariant"])
-@pytest.mark.parametrize("scheme", ["spectral", "central2"])
-def test_flow_with_structure_matches_term_by_term_flow(scheme, law):
-    spec = GridSpec(32, scheme)
+@pytest.mark.parametrize(
+    "scheme, n", _sized([("spectral", 32), ("central2", 32), ("central2", 128)], 32)
+)
+def test_flow_with_structure_matches_term_by_term_flow(scheme, n, law):
+    spec = GridSpec(n, scheme)
     s, h_op, f0 = _flow_scenario(scheme)
     kwargs = dict(t_final=0.5, steps=50, spec=spec, law=law, psi=E_IX)
     result = evolve(s, h_op, f0, **kwargs)
