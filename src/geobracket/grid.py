@@ -2,11 +2,12 @@
 
 This is the package's independent numerical check: operators become N x N
 complex matrices on the uniform grid over [0, 2*pi), brackets are recomputed
-with dense matrix products, and flows are integrated with classic
-fourth-order Runge-Kutta, which applies a banded generator (a ``central2``
-Hamiltonian) by its diagonals and any other by dense products.  Everything
-here is double precision on purpose, so agreement with the exact engine is
-evidence rather than tautology.
+with matrix products (under ``spectral`` in the Fourier basis, where every
+operand is banded, and otherwise densely), and flows are integrated with
+classic fourth-order Runge-Kutta, which applies a banded generator (a
+``central2`` Hamiltonian) by its diagonals and any other by dense products.
+Everything here is double precision on purpose, so agreement with the exact
+engine is evidence rather than tautology.
 
 Input gate: every coefficient, structure function ``s`` and state ``psi``
 enters the oracle through ``sample``, and nowhere else.  Under ``spectral``
@@ -36,8 +37,10 @@ refusal, never for a finite result.
 Size budget: a grid has at most ``MAX_POINTS`` (2048) points, since every
 operator is a dense n x n complex matrix (64 MiB at the cap); larger sizes
 are rejected with ``ValueError`` before anything is allocated.  A bracket
-check holds at most four such matrices at once: ``matrix_bracket`` holds
-``a``, ``b``, one scaled operand and the result.  A flow holds about eight:
+check holds at most four such matrices at once.  A spectral
+``matrix_bracket`` holds one, the result, besides the operands' Fourier
+diagonals; under ``central2`` it holds ``a``, ``b``, one scaled operand
+and the result.  A flow holds about eight:
 ``plus_s``, two buffers of its stage rate (with a dense generator, ``H``
 and ``R`` besides), ``F``, the stage input, the accumulator and two stage
 rates.  ``compare`` never holds the
@@ -286,6 +289,125 @@ def discretize(op: DiffOp, spec: GridSpec) -> GridOp:
     return GridOp(_finite(matrix, "the matrix entries of {}", op), spec)
 
 
+def _offsets(f: CoefFn, n: int) -> set:
+    """The wrapped diagonals ``k % n`` of the terms ``exp(i k x)`` of ``f``.
+
+    Read from the exact terms, so it is known before ``f`` is sampled; a
+    term that is not a plane wave is refused by ``sample`` later."""
+    return {int(kappa[0].im) % n for _, kappa in f.terms}
+
+
+def _fourier_modes(f: CoefFn, spec: GridSpec) -> np.ndarray:
+    """``fft(samples) / n``: the coefficient of ``exp(i k x)`` at index ``k
+    % n``.  The samples are scaled first, exactly (``n`` is a power of two),
+    so that the sum cannot overflow where the samples do not."""
+    return np.fft.fft(sample(f, spec) / spec.n_points)
+
+
+def _accumulate(diagonals: dict, offset: int, values: np.ndarray) -> None:
+    """Add ``values`` (a fresh array) into ``diagonals[offset]``."""
+    if offset in diagonals:
+        diagonals[offset] += values
+    else:
+        diagonals[offset] = values
+
+
+def _fourier_diagonals(op: DiffOp, spec: GridSpec) -> dict:
+    """``discretize(op, spec)`` in the Fourier basis, as wrapped diagonals.
+
+    With ``F`` the DFT matrix, ``X^ = F X F^-1`` has ``X^[(k + m) % n, k] =
+    v_m[k]``: a coefficient's plane wave ``exp(i m x)`` shifts mode ``k`` to
+    ``k + m``, and ``D^alpha`` is ``diag((i k)^alpha)`` with
+    ``_wavenumbers``, as in ``derivative_matrix``.  So ``v_m`` sums, over the
+    terms of ``op``, the coefficient's mode ``m`` times the symbol.  Every
+    coefficient is sampled before any diagonal is formed, and diagonals that
+    are not finite raise ``ValueError`` naming ``op``, as ``discretize``
+    does.
+    """
+    if op.dim != 1:
+        raise DimensionMismatch("the grid oracle is one-dimensional")
+    n = spec.n_points
+    terms = [(order, _offsets(coeff, n), _fourier_modes(coeff, spec))
+             for (order,), coeff in op.terms.items()]
+    diagonals = {}
+    for order, offsets, modes in terms:
+        symbol = (1j * _wavenumbers(n)) ** order
+        for offset in offsets:
+            _accumulate(diagonals, offset, modes[offset] * symbol)
+    for values in diagonals.values():
+        _finite(values, "the matrix entries of {}", op)
+    return diagonals
+
+
+def _with_commutator(x: dict, s_modes: dict, keep: bool, n: int) -> dict:
+    """The diagonals of ``X + [S, X]`` if ``keep``, else of ``[S, X]``, for
+    ``S = diag(s)`` with Fourier modes ``s_modes`` (``{f: s_f}``, ``f !=
+    0``): ``[S, X]`` gets ``s_f (x_m - roll(x_m, -f))`` on diagonal ``m +
+    f``."""
+    out = {m: v.copy() for m, v in x.items()} if keep else {}
+    for m, v in x.items():
+        doubled = np.concatenate((v, v))  # doubled[f : f + n] is roll(v, -f)
+        for f, s_f in s_modes.items():
+            _accumulate(out, (m + f) % n, s_f * (v - doubled[f : f + n]))
+    return out
+
+
+def _product_into(out: dict, x: dict, y: dict, n: int) -> None:
+    """Add the diagonals of ``X Y`` into ``out``: ``roll(x_m1, -m2) * y_m2``
+    goes to diagonal ``m1 + m2``."""
+    for m1, v in x.items():
+        doubled = np.concatenate((v, v))  # doubled[m : m + n] is roll(v, -m)
+        for m2, w in y.items():
+            _accumulate(out, (m1 + m2) % n, doubled[m2 : m2 + n] * w)
+
+
+def _from_fourier(diagonals: dict, n: int) -> np.ndarray:
+    """The grid matrix ``F^-1 X^ F`` of wrapped Fourier diagonals ``{m: v_m}``.
+
+    It is ``sum_m diag(w_m) C(ifft(v_m))``, with ``w_m[j] = exp(2 pi i m j /
+    n)`` (the exponent reduced mod ``n`` exactly) and ``C`` the circulant
+    ``C(c)[j, l] = c[(j - l) % n]``.  For ``PANEL_ROWS`` rows from ``start``,
+    the entries ``c[(j - l) % n]`` lie in one window of ``n + PANEL_ROWS -
+    1`` values of each ``c``, so the panel is read off one rank-d product
+    of the rows' ``w`` with the d windows: row ``r`` is the run of ``n``
+    values of the product's row ``r`` that starts at ``PANEL_ROWS - 1 - r``.
+    O(d n^2) work, in BLAS, and one dense matrix, the result.
+    """
+    out = np.zeros((n, n), dtype=complex)
+    if not diagonals:
+        return out
+    rows = PANEL_ROWS
+    width = n + rows - 1
+    twiddles = np.exp((2j * math.pi / n) * (np.outer(np.arange(n), list(diagonals)) % n))
+    # reverse[:, t] = c[(-t) % n], so that each panel's windows are a slice
+    reverse = np.fft.ifft(np.array(list(diagonals.values())), axis=1)[:, -np.arange(2 * n) % n]
+    for start in range(0, n, rows):
+        block = twiddles[start : start + rows] @ reverse[:, n - start - rows + 1 : 2 * n - start]
+        out[start : start + rows] = sliding_window_view(block.ravel(), n)[rows - 1 :: width - 1]
+    return out
+
+
+def _banded_bracket(s: CoefFn, a: DiffOp, b: DiffOp, spec: GridSpec, kind: str) -> np.ndarray:
+    """The bracket's grid matrix, from the operands' Fourier diagonals:
+    ``a Y_b - b Y_a`` with ``Y_x = x``, ``x + [s, x]`` or ``[s, x]`` by
+    ``kind``.  ``s`` is sampled first, unless ``kind`` is ``qpb``, then
+    ``a``, then ``b``."""
+    n = spec.n_points
+    if kind != "qpb":
+        modes = _fourier_modes(s, spec)
+        s_modes = {f: modes[f] for f in _offsets(s, n) if f}  # the constant commutes
+    a_hat = _fourier_diagonals(a, spec)
+    b_hat = _fourier_diagonals(b, spec)
+    if kind == "qpb":
+        a_right, b_right = a_hat, b_hat
+    else:
+        a_right, b_right = (_with_commutator(x, s_modes, kind == "qcpb", n) for x in (a_hat, b_hat))
+    out = {}
+    _product_into(out, a_hat, b_right, n)
+    _product_into(out, {m: -v for m, v in b_hat.items()}, a_right, n)
+    return _from_fourier(out, n)
+
+
 def _s_difference(s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``C[i, j] = s_i - s_j``, so that ``C * X`` is ``[diag(s), X]``;
     written into ``out`` when given."""
@@ -302,6 +424,31 @@ def _factor_times(s, plus_one, x, out):
     return out
 
 
+def _dense_bracket(s: CoefFn, a: DiffOp, b: DiffOp, spec: GridSpec, kind: str) -> np.ndarray:
+    """The bracket's grid matrix from two dense products.
+
+    Each ``[s, X]`` is ``C * X`` with ``C = _s_difference(s)``, so the dense
+    products are only those with ``a`` and ``b``, with ``qcpb`` as ``a ((1 +
+    C) * b) - b ((1 + C) * a)``.  Four n x n matrices are alive at most:
+    ``a``, ``b``, one scratch matrix, into which the factor is written
+    afresh and scaled in place for each operand, and the result; the second
+    product is written into ``a``'s matrix, which is no longer needed.
+    """
+    if kind != "qpb":
+        s_vec = sample(s, spec)
+    a_mat = discretize(a, spec).matrix
+    b_mat = discretize(b, spec).matrix
+    if kind == "qpb":
+        out = a_mat @ b_mat
+        out -= b_mat @ a_mat
+    else:
+        plus_one = kind == "qcpb"
+        scratch = np.empty_like(a_mat)
+        out = a_mat @ _factor_times(s_vec, plus_one, b_mat, scratch)
+        out -= np.matmul(b_mat, _factor_times(s_vec, plus_one, a_mat, scratch), out=a_mat)
+    return out
+
+
 def matrix_bracket(
     s: CoefFn,
     a: DiffOp,
@@ -311,33 +458,32 @@ def matrix_bracket(
 ) -> GridOp:
     """Recompute a bracket with matrix products only.
 
-    Each ``[s, X]`` is ``C * X`` with ``C = _s_difference(s)``, so the dense
-    products are only those with ``a`` and ``b``: two for each kind, with
-    ``qcpb`` as ``a ((1 + C) * b) - b ((1 + C) * a)``.  Four n x n matrices
-    are alive at most: ``a``, ``b``, one scratch matrix, into which the
-    factor is written afresh and scaled in place for each operand, and the
-    result; the second product is written into ``a``'s matrix, which is no
-    longer needed.
+    ``qpb`` is ``a b - b a``, ``geomutator`` is ``a [s, b] - b [s, a]`` and
+    ``qcpb`` their sum, ``a (b + [s, b]) - b (a + [s, a])``.  Under
+    ``spectral`` the products are taken in the Fourier basis
+    (``_banded_bracket``), where every operand has one wrapped diagonal per
+    frequency of its coefficients, and the result becomes a grid matrix
+    once (``_from_fourier``): O(pairs n + d n^2) work, for ``pairs``
+    diagonal-pair products and ``d`` result diagonals, and one dense
+    matrix.  The product is still a matrix product, with no Leibniz rule
+    from the engine, and each of its entries sums a few terms instead of
+    ``n``.  Under ``central2`` (whose ``s`` may be polynomial) it takes two
+    dense products (``_dense_bracket``) in at most four dense matrices.
+
     An unknown ``kind`` is refused before anything is sampled, and ``s`` is
-    sampled (so, under ``spectral``, checked) before any operator is
-    discretized, except under ``qpb``, which does not use it.  A result
-    that is not finite raises ``ValueError`` naming ``a`` and ``b``.
+    sampled (so, under ``spectral``, checked) before ``a`` and ``b``,
+    except under ``qpb``, which does not use it.  An operand whose matrix
+    entries, or Fourier diagonals, are not finite raises ``ValueError``
+    naming it, and a result that is not finite raises ``ValueError`` naming
+    ``a`` and ``b``.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown bracket kind {kind!r}")
-    if kind != "qpb":
-        s_vec = sample(s, spec)
-    a_mat = discretize(a, spec).matrix
-    b_mat = discretize(b, spec).matrix
     with np.errstate(all="ignore"):
-        if kind == "qpb":
-            out = a_mat @ b_mat
-            out -= b_mat @ a_mat
+        if spec.scheme == "spectral":
+            out = _banded_bracket(s, a, b, spec, kind)
         else:
-            plus_one = kind == "qcpb"
-            scratch = np.empty_like(a_mat)
-            out = a_mat @ _factor_times(s_vec, plus_one, b_mat, scratch)
-            out -= np.matmul(b_mat, _factor_times(s_vec, plus_one, a_mat, scratch), out=a_mat)
+            out = _dense_bracket(s, a, b, spec, kind)
     return GridOp(_finite(out, "the matrix entries of the {} of {} and {}", kind, a, b), spec)
 
 
