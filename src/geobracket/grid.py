@@ -2,10 +2,10 @@
 
 This is the package's independent numerical check: operators become N x N
 complex matrices on the uniform grid over [0, 2*pi), brackets are recomputed
-with matrix products (under ``spectral`` in the Fourier basis, where every
-operand is banded, and otherwise densely), and flows are integrated with
-classic fourth-order Runge-Kutta, which applies a banded generator (a
-``central2`` Hamiltonian) by its diagonals and any other by dense products.
+with matrix products in the Fourier basis, where every operand is banded,
+and flows are integrated with classic fourth-order Runge-Kutta, which
+applies a banded generator (a ``central2`` Hamiltonian) by its diagonals
+and any other by dense products.
 Everything here is double precision on purpose, so agreement with the exact
 engine is evidence rather than tautology.
 
@@ -16,15 +16,16 @@ enters the oracle through ``sample``, and nowhere else.  Under ``spectral``
 2*pi-periodic with ``NonPeriodicCoefficient``, naming it in DSL form;
 ``central2``, the second-order central difference ``(f[i+1] - f[i-1]) /
 (2h)``, accepts polynomial data at the cost of accuracy and serves flows
-and ``discretize``; ``compare`` refuses it, since a difference matrix
-breaks the product rule that every ``[s, .]`` term relies on.  ``sample``
-is also the only place where an exact function becomes doubles: under
-either scheme it refuses, with ``ValueError`` naming the function, one
-whose samples are not finite, and no numpy warning escapes it.  ``state``
-samples a ``psi`` and also refuses, with ``ValueError``, one that vanishes
-on every grid point or whose ``||psi||^2`` leaves double precision, since
-expectations and relative residuals divide by it; ``evolve`` refuses an
-``hbar`` whose ``1/hbar`` is 0 or not finite as a double.
+and ``discretize``; ``matrix_bracket`` and ``compare`` refuse it, since a
+difference matrix breaks the product rule that every ``[s, .]`` term
+relies on.  ``sample`` is also the only place where an exact function
+becomes doubles: under either scheme it refuses, with ``ValueError``
+naming the function, one whose samples are not finite, and no numpy
+warning escapes it.  ``state`` samples a ``psi`` and also refuses, with
+``ValueError``, one that vanishes on every grid point or whose
+``||psi||^2`` leaves double precision, since expectations and relative
+residuals divide by it; ``evolve`` refuses an ``hbar`` whose ``1/hbar`` is
+0 or not finite as a double.
 ``matrix_bracket`` and ``evolve`` sample ``s``, and ``compare`` and
 ``evolve`` sample ``psi``, before they discretize anything, so such input
 is refused before any dense work.  Finite samples can still overflow in
@@ -36,18 +37,18 @@ refusal, never for a finite result.
 
 Size budget: a grid has at most ``MAX_POINTS`` (2048) points, since every
 operator is a dense n x n complex matrix (64 MiB at the cap); larger sizes
-are rejected with ``ValueError`` before anything is allocated.  A bracket
-check holds at most four such matrices at once.  A spectral
-``matrix_bracket`` holds one, the result, besides the operands' Fourier
-diagonals; under ``central2`` it holds ``a``, ``b``, one scaled operand
-and the result.  A flow holds about eight:
+are rejected with ``ValueError`` before anything is allocated.
+``matrix_bracket`` holds at most one and a half such matrices: the result,
+besides the operands' Fourier diagonals and one panel's product.
+``compare`` never holds the symbolic matrix: it streams it in row panels
+beside the numeric matrix, so a certified pass holds at most one and a
+half with its input, and only a comparison the panels' bounds cannot pass
+streams it again into the n x (n/2 + 1) resolved bands of the symbolic
+operator and of its defect (with one band's conjugate and Gram matrix at
+a time), at most three with its input.  A flow holds about eight:
 ``plus_s``, two buffers of its stage rate (with a dense generator, ``H``
 and ``R`` besides), ``F``, the stage input, the accumulator and two stage
-rates.  ``compare`` never holds the
-symbolic matrix: it streams it in row panels beside the numeric matrix,
-and only a comparison the panels' bounds cannot pass streams it again
-into the n x (n/2 + 1) resolved bands of the symbolic operator and of its
-defect (with one band's conjugate and Gram matrix at a time).
+rates.
 
 Residuals: on a pass ``compare`` reports certified upper bounds of its
 residuals, from the norm inequalities ``max_j ||X e_j|| <= ||X||_2 <=
@@ -80,7 +81,7 @@ from .quantum import LAWS
 SCHEMES = ("spectral", "central2")
 
 # Grid-size budget: every operator is a dense n x n complex matrix, and a
-# bracket check holds up to four of them at once.
+# flow holds about eight of them at once (a bracket check at most three).
 MAX_POINTS = 2048
 
 # Rows per panel where ``compare`` streams an operator instead of holding it.
@@ -387,66 +388,10 @@ def _from_fourier(diagonals: dict, n: int) -> np.ndarray:
     return out
 
 
-def _banded_bracket(s: CoefFn, a: DiffOp, b: DiffOp, spec: GridSpec, kind: str) -> np.ndarray:
-    """The bracket's grid matrix, from the operands' Fourier diagonals:
-    ``a Y_b - b Y_a`` with ``Y_x = x``, ``x + [s, x]`` or ``[s, x]`` by
-    ``kind``.  ``s`` is sampled first, unless ``kind`` is ``qpb``, then
-    ``a``, then ``b``."""
-    n = spec.n_points
-    if kind != "qpb":
-        modes = _fourier_modes(s, spec)
-        s_modes = {f: modes[f] for f in _offsets(s, n) if f}  # the constant commutes
-    a_hat = _fourier_diagonals(a, spec)
-    b_hat = _fourier_diagonals(b, spec)
-    if kind == "qpb":
-        a_right, b_right = a_hat, b_hat
-    else:
-        a_right, b_right = (_with_commutator(x, s_modes, kind == "qcpb", n) for x in (a_hat, b_hat))
-    out = {}
-    _product_into(out, a_hat, b_right, n)
-    _product_into(out, {m: -v for m, v in b_hat.items()}, a_right, n)
-    return _from_fourier(out, n)
-
-
-def _s_difference(s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``C[i, j] = s_i - s_j``, so that ``C * X`` is ``[diag(s), X]``;
-    written into ``out`` when given."""
-    return np.subtract(s[:, None], s[None, :], out=out)
-
-
-def _factor_times(s, plus_one, x, out):
-    """``(1 + C) * x`` if ``plus_one``, else ``C * x``, with ``C =
-    _s_difference(s)`` written afresh into ``out`` and scaled there."""
-    _s_difference(s, out)
-    if plus_one:
-        out += 1.0
-    out *= x
-    return out
-
-
-def _dense_bracket(s: CoefFn, a: DiffOp, b: DiffOp, spec: GridSpec, kind: str) -> np.ndarray:
-    """The bracket's grid matrix from two dense products.
-
-    Each ``[s, X]`` is ``C * X`` with ``C = _s_difference(s)``, so the dense
-    products are only those with ``a`` and ``b``, with ``qcpb`` as ``a ((1 +
-    C) * b) - b ((1 + C) * a)``.  Four n x n matrices are alive at most:
-    ``a``, ``b``, one scratch matrix, into which the factor is written
-    afresh and scaled in place for each operand, and the result; the second
-    product is written into ``a``'s matrix, which is no longer needed.
-    """
-    if kind != "qpb":
-        s_vec = sample(s, spec)
-    a_mat = discretize(a, spec).matrix
-    b_mat = discretize(b, spec).matrix
-    if kind == "qpb":
-        out = a_mat @ b_mat
-        out -= b_mat @ a_mat
-    else:
-        plus_one = kind == "qcpb"
-        scratch = np.empty_like(a_mat)
-        out = a_mat @ _factor_times(s_vec, plus_one, b_mat, scratch)
-        out -= np.matmul(b_mat, _factor_times(s_vec, plus_one, a_mat, scratch), out=a_mat)
-    return out
+def _require_spectral(spec: GridSpec, entry: str) -> None:
+    """``ValueError`` naming ``entry`` unless ``spec`` is spectral."""
+    if spec.scheme != "spectral":
+        raise ValueError(f"{entry} requires the spectral scheme, got {spec.scheme!r}")
 
 
 def matrix_bracket(
@@ -459,31 +404,42 @@ def matrix_bracket(
     """Recompute a bracket with matrix products only.
 
     ``qpb`` is ``a b - b a``, ``geomutator`` is ``a [s, b] - b [s, a]`` and
-    ``qcpb`` their sum, ``a (b + [s, b]) - b (a + [s, a])``.  Under
-    ``spectral`` the products are taken in the Fourier basis
-    (``_banded_bracket``), where every operand has one wrapped diagonal per
-    frequency of its coefficients, and the result becomes a grid matrix
-    once (``_from_fourier``): O(pairs n + d n^2) work, for ``pairs``
-    diagonal-pair products and ``d`` result diagonals, and one dense
-    matrix.  The product is still a matrix product, with no Leibniz rule
-    from the engine, and each of its entries sums a few terms instead of
-    ``n``.  Under ``central2`` (whose ``s`` may be polynomial) it takes two
-    dense products (``_dense_bracket``) in at most four dense matrices.
+    ``qcpb`` their sum, ``a (b + [s, b]) - b (a + [s, a])``: ``a Y_b - b
+    Y_a`` with ``Y_x = x``, ``[s, x]`` or ``x + [s, x]`` by ``kind``.  The
+    products are taken in the Fourier basis, where every operand has one
+    wrapped diagonal per frequency of its coefficients, and the result
+    becomes a grid matrix once (``_from_fourier``): O(pairs n + d n^2) work,
+    for ``pairs`` diagonal-pair products and ``d`` result diagonals, and one
+    dense matrix.  The product is still a matrix product, with no Leibniz
+    rule from the engine, and each of its entries sums a few terms instead
+    of ``n``.
 
-    An unknown ``kind`` is refused before anything is sampled, and ``s`` is
-    sampled (so, under ``spectral``, checked) before ``a`` and ``b``,
-    except under ``qpb``, which does not use it.  An operand whose matrix
-    entries, or Fourier diagonals, are not finite raises ``ValueError``
-    naming it, and a result that is not finite raises ``ValueError`` naming
-    ``a`` and ``b``.
+    An unknown ``kind`` is refused first, and then, as by ``compare``, any
+    scheme but ``spectral``, both before anything is sampled.  ``s`` is
+    sampled (so checked) before ``a`` and ``b``, except under ``qpb``, which
+    does not use it.  An operand whose Fourier diagonals are not finite
+    raises ``ValueError`` naming it, and a result that is not finite raises
+    ``ValueError`` naming ``a`` and ``b``.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown bracket kind {kind!r}")
+    _require_spectral(spec, "matrix_bracket")
+    n = spec.n_points
     with np.errstate(all="ignore"):
-        if spec.scheme == "spectral":
-            out = _banded_bracket(s, a, b, spec, kind)
+        if kind != "qpb":
+            modes = _fourier_modes(s, spec)
+            s_modes = {f: modes[f] for f in _offsets(s, n) if f}  # the constant commutes
+        a_hat = _fourier_diagonals(a, spec)
+        b_hat = _fourier_diagonals(b, spec)
+        if kind == "qpb":
+            a_right, b_right = a_hat, b_hat
         else:
-            out = _dense_bracket(s, a, b, spec, kind)
+            a_right, b_right = (_with_commutator(x, s_modes, kind == "qcpb", n)
+                                for x in (a_hat, b_hat))
+        diagonals = {}
+        _product_into(diagonals, a_hat, b_right, n)
+        _product_into(diagonals, {m: -v for m, v in b_hat.items()}, a_right, n)
+        out = _from_fourier(diagonals, n)
     return GridOp(_finite(out, "the matrix entries of the {} of {} and {}", kind, a, b), spec)
 
 
@@ -575,10 +531,13 @@ def compare(
     scheme raises ``ValueError`` before anything is sampled.  No
     differentiation matrix satisfies the product rule on aliased modes, so
     the norm comparison is restricted to the resolved band |k| <= n/4,
-    where agreement is exact to rounding.  ``psi`` enters through
-    ``state``, before ``symbolic`` is discretized: one that vanishes on
-    every grid point raises ``ValueError``, and one that is not
-    2*pi-periodic raises ``NonPeriodicCoefficient``.  A symbolic matrix,
+    where agreement is exact to rounding only while every product keeps
+    the resolved modes within +-n/2 before a derivative acts: at n = 16 the
+    correct ``qpb`` of ``exp(5 i x) d1`` and ``d1`` FAILs with a spectral
+    residual of 3.2 (``b a`` moves mode 4 to 9), and at n = 32 it passes.
+    ``psi`` enters through ``state``, before ``symbolic`` is discretized:
+    one that vanishes on every grid point raises ``ValueError``, and one
+    that is not 2*pi-periodic raises ``NonPeriodicCoefficient``.  A symbolic matrix,
     residuals or scales that are not finite raise ``ValueError`` naming
     ``symbolic``.
 
@@ -600,8 +559,7 @@ def compare(
     bounds).
     """
     spec = numeric.spec
-    if spec.scheme != "spectral":
-        raise ValueError(f"compare requires the spectral scheme, got {spec.scheme!r}")
+    _require_spectral(spec, "compare")
     psi_vec = state(psi, spec)
     n = spec.n_points
     band = _resolved_band(n)
@@ -778,7 +736,7 @@ def evolve(
     f_mat = discretize(f0, spec).matrix
     psi_norm2 = float(np.real(np.vdot(psi_vec, psi_vec)))
 
-    plus_s = 1.0 + _s_difference(s_vec)
+    plus_s = 1.0 + (s_vec[:, None] - s_vec[None, :])  # plus_s * X = X + [diag(s), X]
     rate = _stage_rate(h_mat, plus_s, scale, law == "covariant")
     del h_mat  # a banded rate keeps only its diagonals
 

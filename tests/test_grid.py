@@ -174,10 +174,7 @@ def test_every_entry_point_states_the_periodicity_rule_alike(capsys, entry):
     assert message == non_periodic_message("x1^2")
 
 
-@pytest.mark.parametrize(
-    "scheme, kind",
-    [("spectral", "qpb"), ("central2", "geomutator"), ("central2", "qcpb")],
-)
+@pytest.mark.parametrize("scheme, kind", [("spectral", "qpb")])
 def test_polynomial_s_is_accepted_where_it_is_not_sampled_spectrally(scheme, kind):
     spec = GridSpec(64, scheme)
     out = matrix_bracket(monomial(1, (2,)), partial_d(1), mult(E_IX), spec, kind)
@@ -200,11 +197,22 @@ def test_diagonal_matrices_commute_exactly():
 
 
 def test_matrix_bracket_self_is_zero():
+    """``[a, a]`` to rounding; a bracket with a zero operand exactly, and
+    ``compare`` reports exactly 0.0 against the engine's zero bracket."""
     spec = GridSpec(64)
     a = mult(E_IX).scaled(-I) * partial_d(1)
     s = cos_of(1)
     out = matrix_bracket(s, a, a, spec, "geomutator")
     assert np.linalg.norm(out.matrix) < 1e-12
+    for kind in ("qpb", "geomutator", "qcpb"):
+        for left, right in [(zero_op(1), a), (a, zero_op(1))]:
+            out = matrix_bracket(s, left, right, spec, kind)
+            assert not out.matrix.any()
+            symbolic = {"qpb": commutator(left, right), "geomutator": geomutator(s, left, right),
+                        "qcpb": qcpb(s, left, right).total}[kind]
+            assert symbolic == zero_op(1)
+            report = compare(symbolic, out, E_IX)
+            assert (report.l2_residual, report.spectral_residual) == (0.0, 0.0)
 
 
 def test_wave_pair_bracket_matches_diagonal():
@@ -253,15 +261,25 @@ def test_compare_detects_injected_fault():
 
 
 def test_compare_refuses_central2_before_sampling(monkeypatch):
+    """``compare`` and ``matrix_bracket`` alike; ``matrix_bracket`` refuses
+    an unknown kind first."""
     def no_sampling(*args, **kwargs):
         pytest.fail("an input was sampled before the scheme was checked")
 
-    numeric = discretize(partial_d(1), GridSpec(64, "central2"))
+    spec = GridSpec(64, "central2")
+    numeric = discretize(partial_d(1), spec)
     monkeypatch.setattr(grid_module, "sample", no_sampling)
     monkeypatch.setattr(grid_module, "discretize", no_sampling)
     with pytest.raises(ValueError) as refusal:
         compare(partial_d(1), numeric, E_IX)
     assert str(refusal.value) == "compare requires the spectral scheme, got 'central2'"
+    for kind in ("qpb", "geomutator", "qcpb"):
+        with pytest.raises(ValueError) as refusal:
+            matrix_bracket(cos_of(1), partial_d(1), mult(E_IX), spec, kind)
+        assert str(refusal.value) == "matrix_bracket requires the spectral scheme, got 'central2'"
+    with pytest.raises(ValueError) as refusal:
+        matrix_bracket(cos_of(1), partial_d(1), mult(E_IX), spec, "commutator")
+    assert str(refusal.value) == "unknown bracket kind 'commutator'"
 
 
 def test_compare_requires_periodic_state():
@@ -787,9 +805,8 @@ def _old_discretize(op, spec):
 def _old_matrix_bracket(s, a, b, spec, kind):
     """``matrix_bracket`` by two dense products, holding the factor ``(1 +)
     s_i - s_j`` throughout."""
-    old_discretize = _old_discretize if spec.scheme == "spectral" else _dense_discretize
-    a_mat = old_discretize(a, spec)
-    b_mat = old_discretize(b, spec)
+    a_mat = _old_discretize(a, spec)
+    b_mat = _old_discretize(b, spec)
     if kind == "qpb":
         out = a_mat @ b_mat
         out -= b_mat @ a_mat
@@ -899,18 +916,6 @@ def test_oracle_is_bitwise_the_dense_copy_oracle(n, index):
             _assert_certified_or_exact(report, _old_compare(symbolic, numeric, psi, 1e-10))
 
 
-@pytest.mark.parametrize("index", range(3))
-def test_central2_bracket_is_bitwise_the_dense_copy_oracle(index):
-    """Under ``central2`` (whose ``s`` may be polynomial) a bracket keeps its
-    two dense products bit for bit."""
-    s, a, b = _second_order_pair(index)
-    s, a = s + X1_SQUARED, a + mult(coord(1, 0))
-    spec = GridSpec(64, "central2")
-    for kind in ("qpb", "geomutator", "qcpb"):
-        numeric = matrix_bracket(s, a, b, spec, kind)
-        assert numeric.matrix.tobytes() == _old_matrix_bracket(s, a, b, spec, kind).tobytes()
-
-
 def _traced_peak(call):
     """``(result, peak)``: the call's result and its tracemalloc peak in bytes."""
     tracemalloc.start()
@@ -929,7 +934,7 @@ def _budget_operands():
 
 
 @pytest.mark.parametrize("kind", ["qpb", "geomutator", "qcpb"])
-def test_matrix_bracket_holds_at_most_four_dense_buffers(kind):
+def test_matrix_bracket_holds_one_and_a_half_dense_buffers(kind):
     """A bracket from Fourier diagonals holds one dense matrix, the result,
     besides its diagonals and one panel's product: 1.16-1.22 buffers at n =
     256 (4.1-4.3 with two dense products)."""
@@ -938,20 +943,6 @@ def test_matrix_bracket_holds_at_most_four_dense_buffers(kind):
     _, peak = _traced_peak(lambda: matrix_bracket(s, a, b, GridSpec(n), kind))
     buffers = peak / (n * n * 16)
     assert buffers <= 1.5, buffers
-
-
-@pytest.mark.parametrize("kind", ["qpb", "geomutator", "qcpb"])
-def test_a_dense_bracket_holds_at_most_four_dense_buffers(kind):
-    """Under ``central2``: ``a``, ``b``, one scratch matrix and the result
-    (4.0-4.3 buffers at n = 256).  The spec is warmed first, since it holds
-    ``central2``'s ``D^1`` and ``D^2`` as dense matrices."""
-    n = 256
-    s, a, b = _budget_operands()
-    spec = GridSpec(n, "central2")
-    matrix_bracket(s, a, b, spec, kind)
-    _, peak = _traced_peak(lambda: matrix_bracket(s, a, b, spec, kind))
-    buffers = peak / (n * n * 16)
-    assert buffers <= 4.5, buffers
 
 
 def _budget_comparison(tolerance):
@@ -966,7 +957,7 @@ def _budget_comparison(tolerance):
 
 
 def test_compare_holds_at_most_four_dense_buffers_with_its_input():
-    """A passing comparison stays within the oracle's four-buffer budget."""
+    """A passing comparison holds at most four dense buffers with its input."""
     report, buffers = _budget_comparison(1e-8)
     assert report.passed
     assert buffers <= 4, buffers
