@@ -81,7 +81,6 @@ from .scalars import ComplexRational
 _GRID_NAMES = frozenset({
     "ComparisonReport",
     "EvolutionResult",
-    "GridOp",
     "GridSpec",
     "compare",
     "derivative_matrix",

@@ -16,12 +16,13 @@ enters the oracle through ``sample``, and nowhere else.  Under ``spectral``
 2*pi-periodic with ``NonPeriodicCoefficient``, naming it in DSL form;
 ``central2``, the second-order central difference ``(f[i+1] - f[i-1]) /
 (2h)``, accepts polynomial data at the cost of accuracy and serves flows
-and ``discretize``; ``matrix_bracket`` and ``compare`` refuse it, since a
-difference matrix breaks the product rule that every ``[s, .]`` term
-relies on.  ``sample`` is also the only place where an exact function
-becomes doubles: under either scheme it refuses, with ``ValueError``
-naming the function, one whose samples are not finite, and no numpy
-warning escapes it.  ``state`` samples a ``psi`` and also refuses, with
+and ``discretize``; ``matrix_bracket`` refuses it, since a difference
+matrix breaks the product rule that every ``[s, .]`` term relies on, and
+``compare`` measures any matrix on the spectral grid of its size.
+``sample`` is also the only place where an exact function becomes
+doubles: under either scheme it refuses, with ``ValueError`` naming the
+function, one whose samples are not finite, and no numpy warning escapes
+it.  ``state`` samples a ``psi`` and also refuses, with
 ``ValueError``, one that vanishes on every grid point or whose
 ``||psi||^2`` leaves double precision, since expectations and relative
 residuals divide by it; ``evolve`` refuses an ``hbar`` whose ``1/hbar`` is
@@ -55,11 +56,11 @@ residuals, from the norm inequalities ``max_j ||X e_j|| <= ||X||_2 <=
 ||X||_F``; otherwise, and so on every FAIL, it reports the exact
 band-limited 2-norms, and the verdict is the exact norms' either way.
 
-Every ``D^k`` is built by ``derivative_matrix(spec, k)`` and cached per
-spec; a spectral power is a read-only circulant view of 2n values, not a
-dense matrix.  A coefficient or structure function is a multiplication
-operator, so it stays a vector of samples instead of taking part in a
-dense product.
+Every ``D^k`` is built by ``derivative_matrix(spec, k)``, once per call
+that uses it; a spectral power is a read-only circulant view of 2n values,
+built in O(n log n), not a dense matrix.  A coefficient or structure
+function is a multiplication operator, so it stays a vector of samples
+instead of taking part in a dense product.
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -118,19 +118,6 @@ class GridSpec:
 
     def points(self) -> np.ndarray:
         return np.arange(self.n_points) * self.spacing
-
-    @cached_property
-    def _derivative_powers(self) -> dict:
-        """``D^k`` by order, filled on demand by ``derivative_power``."""
-        return {}
-
-    def derivative_power(self, order: int) -> np.ndarray:
-        """``derivative_matrix(self, order)``, built at most once for this
-        spec."""
-        powers = self._derivative_powers
-        if order not in powers:
-            powers[order] = derivative_matrix(self, order)
-        return powers[order]
 
 
 def _wavenumbers(n: int) -> np.ndarray:
@@ -243,29 +230,23 @@ def state(psi: CoefFn, spec: GridSpec) -> np.ndarray:
     return values
 
 
-@dataclass(frozen=True)
-class GridOp:
-    """Dense matrix realization of an operator on a grid."""
-
-    matrix: np.ndarray
-    spec: GridSpec
-
-
 def _row_panels(op: DiffOp, spec: GridSpec, rows: int):
     """Yield ``(panel, block)``: ``block`` holds the rows ``panel`` (a
     slice) of ``sum diag(c_alpha) D^alpha``, ``rows`` rows at a time.
 
-    Each ``diag(c_alpha) D^alpha`` is formed by scaling the rows of the
-    spec's cached power ``D^alpha`` by the samples of ``c_alpha`` into one
-    scratch block, reused across terms (the order-0 term is added to the
-    diagonal): O(n^2) per term instead of a dense O(n^3) product.  Every
-    coefficient is sampled before the first block is formed, and ``block``
-    is one buffer, overwritten for each panel.  ``rows`` divides ``n``.
+    Each ``diag(c_alpha) D^alpha`` is formed by scaling the rows of
+    ``D^alpha`` by the samples of ``c_alpha`` into one scratch block, reused
+    across terms (the order-0 term is added to the diagonal): O(n^2) per
+    term instead of a dense O(n^3) product.  Every coefficient is sampled,
+    and then each ``D^alpha`` built once, before the first block is formed;
+    ``block`` is one buffer, overwritten for each panel.  ``rows`` divides
+    ``n``.
     """
     if op.dim != 1:
         raise DimensionMismatch("the grid oracle is one-dimensional")
     n = spec.n_points
     terms = [(order, sample(coeff, spec)) for (order,), coeff in op.terms.items()]
+    powers = {order: derivative_matrix(spec, order) for order, _ in terms if order}
     block = np.empty((rows, n), dtype=complex)
     scratch = np.empty_like(block)
     diagonal = np.arange(rows)
@@ -275,19 +256,18 @@ def _row_panels(op: DiffOp, spec: GridSpec, rows: int):
         with np.errstate(all="ignore"):
             for order, values in terms:
                 if order:
-                    power = spec.derivative_power(order)[panel]
-                    np.multiply(values[panel, None], power, out=scratch)
+                    np.multiply(values[panel, None], powers[order][panel], out=scratch)
                     block += scratch
                 else:
                     block[diagonal, diagonal + start] += values[panel]
         yield panel, block
 
 
-def discretize(op: DiffOp, spec: GridSpec) -> GridOp:
+def discretize(op: DiffOp, spec: GridSpec) -> np.ndarray:
     """Realize ``sum_alpha c_alpha d^alpha`` as ``sum diag(c_alpha) D^alpha``:
     ``_row_panels`` with one panel of all ``n`` rows."""
     [(_, matrix)] = _row_panels(op, spec, spec.n_points)
-    return GridOp(_finite(matrix, "the matrix entries of {}", op), spec)
+    return _finite(matrix, "the matrix entries of {}", op)
 
 
 def _offsets(f: CoefFn, n: int) -> set:
@@ -388,19 +368,13 @@ def _from_fourier(diagonals: dict, n: int) -> np.ndarray:
     return out
 
 
-def _require_spectral(spec: GridSpec, entry: str) -> None:
-    """``ValueError`` naming ``entry`` unless ``spec`` is spectral."""
-    if spec.scheme != "spectral":
-        raise ValueError(f"{entry} requires the spectral scheme, got {spec.scheme!r}")
-
-
 def matrix_bracket(
     s: CoefFn,
     a: DiffOp,
     b: DiffOp,
     spec: GridSpec,
     kind: str = "qcpb",
-) -> GridOp:
+) -> np.ndarray:
     """Recompute a bracket with matrix products only.
 
     ``qpb`` is ``a b - b a``, ``geomutator`` is ``a [s, b] - b [s, a]`` and
@@ -414,16 +388,17 @@ def matrix_bracket(
     rule from the engine, and each of its entries sums a few terms instead
     of ``n``.
 
-    An unknown ``kind`` is refused first, and then, as by ``compare``, any
-    scheme but ``spectral``, both before anything is sampled.  ``s`` is
-    sampled (so checked) before ``a`` and ``b``, except under ``qpb``, which
-    does not use it.  An operand whose Fourier diagonals are not finite
+    An unknown ``kind`` is refused first, and then any scheme but
+    ``spectral``, both before anything is sampled.  ``s`` is sampled (so
+    checked) before ``a`` and ``b``, except under ``qpb``, which does not
+    use it.  An operand whose Fourier diagonals are not finite
     raises ``ValueError`` naming it, and a result that is not finite raises
     ``ValueError`` naming ``a`` and ``b``.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown bracket kind {kind!r}")
-    _require_spectral(spec, "matrix_bracket")
+    if spec.scheme != "spectral":
+        raise ValueError(f"matrix_bracket requires the spectral scheme, got {spec.scheme!r}")
     n = spec.n_points
     with np.errstate(all="ignore"):
         if kind != "qpb":
@@ -440,7 +415,7 @@ def matrix_bracket(
         _product_into(diagonals, a_hat, b_right, n)
         _product_into(diagonals, {m: -v for m, v in b_hat.items()}, a_right, n)
         out = _from_fourier(diagonals, n)
-    return GridOp(_finite(out, "the matrix entries of the {} of {} and {}", kind, a, b), spec)
+    return _finite(out, "the matrix entries of the {} of {} and {}", kind, a, b)
 
 
 @dataclass(frozen=True)
@@ -482,7 +457,7 @@ def _norm2(columns: np.ndarray) -> float:
     return math.sqrt(len(columns)) * math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
 
 
-def _panel_modes(symbolic, numeric, psi_vec, action):
+def _panel_modes(symbolic, numeric, spec, psi_vec, action):
     """Stream ``symbolic`` against ``numeric`` ``PANEL_ROWS`` rows at a time.
 
     For each panel of the symbolic matrix, write its rows' action on
@@ -493,12 +468,12 @@ def _panel_modes(symbolic, numeric, psi_vec, action):
     ``nan``), and that panel then raises ``ValueError`` naming
     ``symbolic``, as ``discretize`` would.
     """
-    for panel, block in _row_panels(symbolic, numeric.spec, PANEL_ROWS):
+    for panel, block in _row_panels(symbolic, spec, PANEL_ROWS):
         np.matmul(block, psi_vec, out=action[panel])
         if not np.isfinite(action[panel]).all():
             _finite(block, "the matrix entries of {}", symbolic)
         yield panel, 0, np.fft.ifft(block, axis=1)
-        block -= numeric.matrix[panel]
+        block -= numeric[panel]
         yield panel, 1, np.fft.ifft(block, axis=1)
 
 
@@ -520,15 +495,16 @@ def _residuals(op_norm, defect_norm, sym_action, num_action, psi_vec):
 
 def compare(
     symbolic: DiffOp,
-    numeric: GridOp,
+    numeric: np.ndarray,
     psi: CoefFn,
     tolerance: float = 1e-8,
 ) -> ComparisonReport:
     """Relative agreement of ``discretize(symbolic)`` with a matrix.
 
     Reports the relative L2 defect of the action on ``psi`` and a relative
-    spectral-norm defect.  Only a ``spectral`` grid is accepted; any other
-    scheme raises ``ValueError`` before anything is sampled.  No
+    spectral-norm defect on the grid ``GridSpec(len(numeric))``, which is
+    spectral: a ``numeric`` that is not square, or whose size is not a
+    grid size, raises ``ValueError`` before anything is sampled.  No
     differentiation matrix satisfies the product rule on aliased modes, so
     the norm comparison is restricted to the resolved band |k| <= n/4,
     where agreement is exact to rounding only while every product keeps
@@ -558,16 +534,18 @@ def compare(
     and the verdict is the exact one either way (up to rounding in the
     bounds).
     """
-    spec = numeric.spec
-    _require_spectral(spec, "compare")
+    shape = np.shape(numeric)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"compare requires a square matrix, got shape {shape}")
+    spec = GridSpec(len(numeric))
     psi_vec = state(psi, spec)
     n = spec.n_points
     band = _resolved_band(n)
     sym_action = np.empty(n, dtype=complex)
     with np.errstate(all="ignore"):
-        num_action = numeric.matrix @ psi_vec
+        num_action = numeric @ psi_vec
         power = np.zeros((2, n))
-        for _, which, modes in _panel_modes(symbolic, numeric, psi_vec, sym_action):
+        for _, which, modes in _panel_modes(symbolic, numeric, spec, psi_vec, sym_action):
             power[which] += (np.abs(modes) ** 2).sum(axis=0)
             del modes  # freed before the stream forms the next panel's modes
         op_norm = math.sqrt(n * float(power[0, band].max()))
@@ -577,7 +555,7 @@ def compare(
             if all(map(math.isfinite, bounds)) and max(bounds[:2]) <= tolerance:
                 return ComparisonReport(*bounds[:2], tolerance)
         columns = np.empty((2, n, n // 2 + 1), dtype=complex)
-        for panel, which, modes in _panel_modes(symbolic, numeric, psi_vec, sym_action):
+        for panel, which, modes in _panel_modes(symbolic, numeric, spec, psi_vec, sym_action):
             columns[which, panel] = modes[:, band]
         residuals = _residuals(_norm2(columns[0]), _norm2(columns[1]),
                                sym_action, num_action, psi_vec)
@@ -599,7 +577,7 @@ class EvolutionResult:
     times: list
     expectations: list
     growth: list
-    final: GridOp
+    final: np.ndarray
 
     def csv_lines(self):
         """Rows ``t,re_expect,im_expect,growth`` at 17 significant digits."""
@@ -732,8 +710,8 @@ def evolve(
         raise ValueError(f"1/hbar is not a finite nonzero double for hbar = {hbar}")
     s_vec = sample(s, spec)
     psi_vec = state(psi, spec)
-    h_mat = discretize(hamiltonian, spec).matrix
-    f_mat = discretize(f0, spec).matrix
+    h_mat = discretize(hamiltonian, spec)
+    f_mat = discretize(f0, spec)
     psi_norm2 = float(np.real(np.vdot(psi_vec, psi_vec)))
 
     plus_s = 1.0 + (s_vec[:, None] - s_vec[None, :])  # plus_s * X = X + [diag(s), X]
@@ -785,18 +763,18 @@ def evolve(
                 )
             if step in sample_steps:
                 record(step, f_mat)
-    return EvolutionResult(times, expectations, growth, GridOp(f_mat, spec))
+    return EvolutionResult(times, expectations, growth, f_mat)
 
 
-def is_hermitian(op: GridOp) -> bool:
+def is_hermitian(matrix: np.ndarray) -> bool:
     """Relative Frobenius defect of ``M - M^H`` at most ``1e-10``."""
-    defect = np.linalg.norm(op.matrix - op.matrix.conj().T)
-    scale = max(1.0, float(np.linalg.norm(op.matrix)))
+    defect = np.linalg.norm(matrix - matrix.conj().T)
+    scale = max(1.0, float(np.linalg.norm(matrix)))
     return float(defect) / scale <= 1e-10
 
 
-def eigenvalues(op: GridOp) -> np.ndarray:
+def eigenvalues(matrix: np.ndarray) -> np.ndarray:
     """Eigenvalues sorted by (real, imaginary) part for deterministic output."""
-    values = np.linalg.eigvals(op.matrix)
+    values = np.linalg.eigvals(matrix)
     order = np.lexsort((values.imag, values.real))
     return values[order]

@@ -405,11 +405,11 @@ def test_criterion_8_dynamics_reduction():
     result = evolve(
         zero(1), h_op, f0, t_final=1.0, steps=2000, spec=spec, psi=E_IX
     )
-    h = discretize(h_op, spec).matrix
+    h = discretize(h_op, spec)
     u = expm(-1j * h)
-    exact = u.conj().T @ discretize(f0, spec).matrix @ u
+    exact = u.conj().T @ discretize(f0, spec) @ u
     error = float(
-        np.linalg.norm(result.final.matrix - exact) / np.linalg.norm(exact)
+        np.linalg.norm(result.final - exact) / np.linalg.norm(exact)
     )
     # s = 0 and H Hermitian: the flow is unitary, so ||F||_F is conserved
     drift = max(abs(g - 1.0) for g in result.growth)
@@ -423,7 +423,7 @@ def test_criterion_8_dynamics_reduction():
         psi=one(1),
     )
     frozen = (
-        np.array_equal(covariant.final.matrix, h.astype(complex))
+        np.array_equal(covariant.final, h.astype(complex))
         and covariant.expectations == [covariant.expectations[0]] * 101
         and covariant.growth == [1.0] * 101
     )

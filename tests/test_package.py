@@ -1,7 +1,7 @@
 """The package surface: the exact engine runs without numpy, and the grid
 oracle's names still resolve through ``geobracket`` to ``geobracket.grid``.
 
-``geobracket`` serves the twelve grid names through a module ``__getattr__``
+``geobracket`` serves the eleven grid names through a module ``__getattr__``
 and ``cli`` imports ``grid`` inside ``grid-check`` and ``oscillator`` only,
 so numpy is loaded by the oracle alone.
 """
@@ -18,7 +18,7 @@ from geobracket import grid
 PACKAGE_API = [
     "BracketReport", "CCRTable", "CoefFn", "ComparisonReport", "ComplexRational",
     "DiffOp", "DimensionMismatch", "EvolutionDiverged", "EvolutionResult",
-    "ExprSyntaxError", "GridOp", "GridSpec", "Hamiltonian", "HermitianSplitReport",
+    "ExprSyntaxError", "GridSpec", "Hamiltonian", "HermitianSplitReport",
     "JacobiResiduals", "NonPeriodicCoefficient", "NonPolynomialPhaseFunction",
     "NonRealStructureFunction", "Params", "StructureMatrix", "brackets", "classical",
     "commutator", "compare", "compose", "const", "coord", "cos_of", "covariant_rhs",
@@ -34,7 +34,7 @@ PACKAGE_API = [
 ]
 
 GRID_NAMES = [
-    "ComparisonReport", "EvolutionResult", "GridOp", "GridSpec", "compare",
+    "ComparisonReport", "EvolutionResult", "GridSpec", "compare",
     "derivative_matrix", "discretize", "eigenvalues", "evolve", "is_hermitian",
     "matrix_bracket", "sample",
 ]
